@@ -1,5 +1,5 @@
 // Foreground latency through a staggered tablet transform (ROADMAP item 2's
-// single-node half): T = 1 (the historical whole-table path) versus
+// single-node half): T = 1 (the whole table as one tablet) versus
 // T ∈ {4, 16} hash-range tablets.
 //
 // The whole-table synchronization latches every tablet latch of every

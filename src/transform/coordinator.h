@@ -112,11 +112,12 @@ struct TransformConfig {
   /// Scan work is partitioned by storage shard and operator build state by
   /// key hash, so any worker count yields the same target tables.
   size_t populate_workers = 0;
-  /// Hash-range tablets to stagger the transformation across (see
+  /// Hash-range tablets to run the transformation as (see
   /// transform/tablet_manager.h): each tablet gets its own fuzzy scan,
   /// catch-up, and tablet-wide sync latch, so a concurrent writer only ever
-  /// sees a latch covering 1/T of the key space. 1 = the whole-table path,
-  /// bit-identical to a build without the tablet layer. Values > 1 are
+  /// sees a latch covering 1/T of the key space. Every run goes through the
+  /// same per-tablet sequence; 1 = the whole table as one tablet, the
+  /// paper's single fuzzy scan and single sync latch. Values > 1 are
   /// clamped back to 1 when staggering cannot apply: the operator does not
   /// decompose by tablet (FOJ), the strategy is not non-blocking abort,
   /// continuous mode, the §5.3 consistency checker (it verifies against
@@ -182,11 +183,11 @@ struct TransformStats {
   /// Log records processed per second of wall-clock propagation time.
   double propagate_records_per_sec = 0.0;
 
-  /// Staggered-tablet shape: resolved tablet count (1 = whole-table path;
-  /// the configured value may have been clamped, see TransformConfig) and
-  /// each tablet's individual latched pause. For a staggered run
-  /// sync_latch_nanos above reports the *maximum* per-tablet pause — the
-  /// worst any single key's writer could have observed — not the sum.
+  /// Tablet shape: resolved tablet count (1 = the whole table; the
+  /// configured value may have been clamped, see TransformConfig) and each
+  /// tablet's individual latched pause. sync_latch_nanos above reports the
+  /// *maximum* per-tablet pause — the worst any single key's writer could
+  /// have observed — not the sum.
   size_t tablets = 1;
   std::vector<int64_t> tablet_latch_nanos;
 };
@@ -290,24 +291,20 @@ class TransformCoordinator : public engine::TransformHook {
     const Lsn next = next_lsn_.load(std::memory_order_acquire);
     if (next == kInvalidLsn) return kInvalidLsn;
     Lsn floor = std::min(next, propagator_->FloorLsn());
-    if (stagger_ != nullptr && !stagger_->AllActivated()) {
-      // A staggered run's global cursor races ahead of tablets that have
-      // not been populated yet; their local catch-up passes re-read the log
-      // from the run's first begin-fuzzy floor, so truncation must hold
-      // there until every tablet is active. The floor is fixed once (first
-      // tablet's mark) and only ever replaced by the larger live watermark,
-      // so the pin stays monotone.
-      const Lsn stagger_floor =
-          stagger_start_floor_.load(std::memory_order_acquire);
-      if (stagger_floor != kInvalidLsn && stagger_floor < floor) {
-        floor = stagger_floor;
-      }
+    if (!stagger_->AllActivated()) {
+      // The global cursor races ahead of tablets that have not been
+      // populated yet; their local catch-up passes re-read the log from
+      // their own begin-fuzzy floors, none below the first tablet's
+      // (retention_floor_), so truncation must hold there until every
+      // tablet is active. The floor is fixed once and only ever replaced
+      // by the larger live watermark, so the pin stays monotone.
+      floor = std::min(floor, retention_floor_.load(std::memory_order_acquire));
     }
     return floor;
   }
 
-  /// The staggered-tablet state, or nullptr on the whole-table path —
-  /// exposed for tests and observability.
+  /// The tablet state (never null; one tablet when the run covers the whole
+  /// table) — exposed for tests and observability.
   const TabletTransformManager* tablet_manager() const {
     return stagger_.get();
   }
@@ -321,40 +318,54 @@ class TransformCoordinator : public engine::TransformHook {
   void OnTxnFinished(TxnId txn, txn::TxnEpoch epoch) override;
 
  private:
-  /// Processes log records [from, to] through the propagation pipeline;
-  /// returns the count processed. `throttled` applies the priority duty
-  /// cycle between batches.
-  Result<size_t> PropagateRange(Lsn from, Lsn to, bool throttled);
+  /// Propagates log records [next_lsn_, end] through the pipeline, adding
+  /// the count to `stats`; a no-op when the cursor is already past `end`.
+  /// `throttled` applies the priority duty cycle between batches.
+  Status PropagateTo(Lsn end, bool throttled, TransformStats* stats);
+  /// One local catch-up pass for tablet `k`: processes [from, to] applying
+  /// only tablet k's data records, without moving the global cursor, then
+  /// restores the global filter. A no-op when `to` < `from`.
+  Status PropagateTabletPass(size_t k, Lsn from, Lsn to,
+                             TransformStats* stats);
   /// Copies pipeline counters (ops, per-worker shape, throughput) into
   /// `stats` on every Run() exit path.
   void FillPropagationStats(TransformStats* stats) const;
+  /// Appends a fuzzy mark carrying the active-transaction table (§3.2) and
+  /// returns the oldest LSN propagation must start at to cover every
+  /// transaction active at the mark. `populate_micros` goes to the
+  /// end-of-read mark's trace event.
+  Lsn AppendFuzzyMark(bool begin, int64_t populate_micros);
+  /// Aborted when an abort was requested or the run exceeded its duration.
+  Status Interrupted(const Clock::TimePoint& run_start) const;
+  /// Old transactions (epoch < `before`) holding a source lock on tablet k.
+  size_t SourceLockHolders(txn::TxnEpoch before, size_t k) const;
 
-  /// The common synchronization core: latch sources exclusively, propagate
-  /// to the log end, flip the switch atomically w.r.t. gated operations.
-  Status SynchronizeAndSwitch(TransformStats* stats);
-  /// Steps 2–4 of a staggered run (stagger_ != nullptr): one per-tablet
-  /// sub-transform sequence — fuzzy scan, scoped populate, local catch-up,
-  /// activation — then global convergence, per-tablet latched sync, and the
-  /// shared drain/finalize epilogue. Called from Run() with the WAL
-  /// retention pin already registered.
-  Result<TransformStats> RunStaggered(const Clock::TimePoint& run_start,
-                                      TransformStats stats);
-  /// One local pass for transform tablet `k`: processes [from, to] through
-  /// the pipeline applying only tablet k's data records, without moving the
-  /// global cursor, then restores the global filter. `process_completions`
-  /// is false for the latched sync pass (see
-  /// LogPropagator::set_process_completions).
-  Result<size_t> PropagateTabletPass(size_t k, Lsn from, Lsn to,
-                                     bool process_completions, bool throttled);
-  /// Post-switch tail shared by both paths: drain, finalize, drop sources,
-  /// clear the hook, mark completed.
-  Result<TransformStats> FinishAndComplete(const Clock::TimePoint& run_start,
-                                           TransformStats stats);
+  /// The four steps; each returns Aborted with the reason the run ends on.
+  /// Step 1: the operator's Prepare, table-id caches, hook registration.
+  Status Prepare(TransformStats* stats);
+  /// Step 2: per tablet, fuzzy mark, populate, local catch-up, activate.
+  Status PopulateTablets(const Clock::TimePoint& run_start,
+                         TransformStats* stats);
+  /// Step 3: the §3.3 propagation loop, until the backlog allows sync (or,
+  /// continuous mode, until RequestFinish).
+  Status PropagateUntilSync(const Clock::TimePoint& run_start,
+                            TransformStats* stats);
+  /// Step 4: one LatchedPass per tablet.
+  Status Synchronize(const Clock::TimePoint& run_start, TransformStats* stats);
+  /// Latch tablet `k` of every source, propagate to the log end, and switch
+  /// the tablet (no switch in continuous mode). The only place the
+  /// user-visible pause is measured.
+  Status LatchedPass(
+      size_t k, const std::vector<std::shared_ptr<storage::Table>>& sources,
+      TransformStats* stats);
   /// Post-switch drain: keep propagating until every pre-switch transaction
   /// has finished and the propagator has caught up.
   Status Drain(TransformStats* stats);
-  /// Aborts the transformation: stop, drop targets, unregister.
-  void AbortTransformation(const std::string& reason, TransformStats* stats);
+  /// The one exit of Run(): unregister, release the transform locks, and
+  /// record `outcome` in `stats`. A failure before any tablet migrated
+  /// drops the targets; past that the targets are live and stay.
+  TransformStats Finish(const Clock::TimePoint& run_start,
+                        const Status& outcome, TransformStats* stats);
 
   bool IsSourceTable(TableId id) const;
   bool IsTargetTable(TableId id) const;
@@ -382,10 +393,11 @@ class TransformCoordinator : public engine::TransformHook {
   /// Floor backing the WAL retention pin Run() registers: the oldest log
   /// record this transformation may still need. Starts at the log's first
   /// retained LSN (conservative — propagation start is not known yet),
-  /// advances to start_lsn once the fuzzy mark fixes it, and is superseded
-  /// by the live propagation watermark (propagated_lsn()) as soon as
-  /// propagation begins. Never retreats, which is what makes the pin's
-  /// pre-truncate evaluation safe (see Wal::AddRetentionPin).
+  /// advances to the first tablet's start LSN once its fuzzy mark fixes it,
+  /// and holds there until every tablet is active; the live propagation
+  /// watermark (propagated_lsn()) supersedes it from then on. Never
+  /// retreats, which is what makes the pin's pre-truncate evaluation safe
+  /// (see Wal::AddRetentionPin).
   std::atomic<Lsn> retention_floor_{kInvalidLsn};
 
   /// Blocking-commit gate: when on, operations of transactions with epoch
@@ -398,19 +410,16 @@ class TransformCoordinator : public engine::TransformHook {
   txn::TxnEpoch gate_epoch_ = 0;  ///< guarded by gate_mu_
 
   /// Set at switch-over. Transactions with epoch < switch_epoch_ are "old".
-  /// A staggered run flips these only when its *last* tablet migrates; the
-  /// partial-migration window in between is governed per tablet by
+  /// These flip when the *last* tablet migrates; with T > 1 the
+  /// partial-migration window before that is governed per tablet by
   /// stagger_'s state (see OnOp / OnCommit / OnTxnFinished).
   std::atomic<bool> switched_{false};
   std::atomic<txn::TxnEpoch> switch_epoch_{0};
 
-  /// Staggered-tablet state; nullptr = whole-table path. Created in the
-  /// constructor (never mutated afterwards), so hook and housekeeping
-  /// threads may read the pointer without synchronization.
+  /// Tablet state. Created in the constructor (never mutated afterwards),
+  /// so hook and housekeeping threads may read the pointer without
+  /// synchronization.
   std::unique_ptr<TabletTransformManager> stagger_;
-  /// First tablet's begin-fuzzy floor — the staggered run's WAL retention
-  /// requirement until every tablet is active (see propagated_lsn()).
-  std::atomic<Lsn> stagger_start_floor_{kInvalidLsn};
 
   /// Source/target table id caches (valid after Prepare). The vectors keep
   /// OperatorRules order (source_ids_[0] owns LockOrigin::kSource0); the

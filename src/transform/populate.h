@@ -38,7 +38,7 @@ struct PopulateConfig {
   /// Staggered mode: the targets may already hold earlier tablets' records,
   /// so population must *merge into* existing operator state (the split's
   /// S-side accumulates into stored buckets via Table::Rmw) instead of
-  /// assuming it writes first. Off on the whole-table path.
+  /// assuming it writes first. Off for the first (or only) tablet.
   bool accumulate = false;
 
   size_t ClampedShardEnd(size_t num_shards) const {

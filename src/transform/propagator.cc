@@ -318,7 +318,6 @@ Status LogPropagator::ProcessRecord(const wal::LogRecord& rec) {
       // the lock owner transaction" (§3.4). With workers, the release is
       // deferred until the floor passes this LSN (see class comment) so
       // commits do not serialize the pipeline.
-      if (!process_completions_) return Status::OK();
       if (cur_workers_ == 0) {
         tlocks_->ReleaseTxn(rec.txn_id);
       } else {

@@ -154,16 +154,6 @@ class LogPropagator {
     record_filter_ = std::move(filter);
   }
 
-  /// \brief When false, kCommit/kTxnEnd records are ignored instead of
-  /// releasing the transaction's mirrored locks. A staggered tablet's
-  /// latched sync pass runs with completions off: it re-reads a window the
-  /// global stream will read again, and releasing a transaction there would
-  /// drop locks covering its not-yet-applied ops on *other* tablets.
-  /// Reader-thread only, default true.
-  void set_process_completions(bool process) {
-    process_completions_ = process;
-  }
-
   /// \brief Processes log records [from, to]; returns the count processed.
   /// On return every processed op has been fully applied (workers drained)
   /// and every deferred lock release flushed. `next_lsn` is kept at the
@@ -259,10 +249,9 @@ class LogPropagator {
   TableIdSet sources_;
   TableId primary_source_ = 0;  ///< LockOrigin::kSource0
 
-  /// Staggered-tablet record filter (null = pass everything) and the
-  /// completion-processing toggle. Reader-thread only.
+  /// Staggered-tablet record filter (null = pass everything). Reader-thread
+  /// only.
   std::function<bool(const wal::LogRecord&)> record_filter_;
-  bool process_completions_ = true;
 
   /// kMutex path workers (empty when serial or kRing).
   std::vector<std::unique_ptr<Worker>> workers_;

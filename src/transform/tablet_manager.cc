@@ -21,7 +21,6 @@ TabletTransformManager::TabletTransformManager(size_t num_shards,
                                                size_t transform_tablets)
     : space_(num_shards,
              ClampToTableTablets(transform_tablets, table_tablets)),
-      latches_per_tablet_(table_tablets / space_.num_tablets()),
       slots_(new TabletSlot[space_.num_tablets()]) {
   MORPH_GAUGE_SET("transform.tablet.total",
                   static_cast<int64_t>(space_.num_tablets()));
@@ -51,7 +50,6 @@ void TabletTransformManager::MarkMigrated(size_t k, Lsn sync_lsn,
   // kMigrated: store them first, release the state last.
   slot.sync_lsn.store(sync_lsn, std::memory_order_relaxed);
   slot.switch_epoch.store(epoch, std::memory_order_relaxed);
-  slot.latch_nanos.store(latch_nanos, std::memory_order_relaxed);
   slot.state.store(static_cast<uint8_t>(TabletState::kMigrated),
                    std::memory_order_release);
   const size_t migrated =
@@ -62,7 +60,6 @@ void TabletTransformManager::MarkMigrated(size_t k, Lsn sync_lsn,
       "transform.tablet.active",
       static_cast<int64_t>(activated_count_.load(std::memory_order_acquire) -
                            migrated));
-  MORPH_HISTOGRAM_NANOS("transform.tablet.latch_nanos", latch_nanos);
   // a = tablet index, b = this tablet's latched pause in nanoseconds.
   MORPH_TRACE("transform.tablet.migrate", static_cast<int64_t>(k),
               latch_nanos);

@@ -12,14 +12,13 @@
 
 namespace morph::transform {
 
-/// \brief Lifecycle of one hash-range tablet within a staggered
-/// transformation.
+/// \brief Lifecycle of one hash-range tablet within a transformation.
 ///
 ///   kPending  — not yet populated; source-table ops on its keys are
 ///               *skipped* by the global propagation stream (its own
 ///               begin-fuzzy mark + local catch-up pass will cover them).
 ///   kActive   — populated and caught up; the global stream applies its
-///               ops like the whole-table path would.
+///               ops from the tablet's start LSN on.
 ///   kMigrated — individually synchronized: its keys switched to the
 ///               transformed tables at its own sync LSN / epoch. The global
 ///               stream keeps applying its ops, but only those *after* the
@@ -28,18 +27,17 @@ namespace morph::transform {
 ///               draining.
 enum class TabletState : uint8_t { kPending = 0, kActive = 1, kMigrated = 2 };
 
-/// \brief Catalog-level bookkeeping for a transformation staggered across
-/// hash-range tablets (ROADMAP item 2's single-node half).
+/// \brief Catalog-level bookkeeping for a transformation run as a sequence
+/// of hash-range tablets.
 ///
-/// The whole-table transformation latches every source exclusively once,
-/// for one final catch-up pass — a pause every concurrent writer sees. The
-/// staggered run instead sequences T per-tablet sub-transforms, each with
-/// its own fuzzy mark, shard-scoped population, local catch-up, and its own
+/// Every transformation sequences T per-tablet sub-transforms, each with its
+/// own fuzzy mark, shard-scoped population, local catch-up, and its own
 /// tablet-wide sync latch: user transactions on the other T-1 tablets never
-/// observe a latch. This class owns the geometry (which keys belong to
-/// which transform tablet, which table-level latches a transform tablet
-/// covers) and the per-tablet state machine the coordinator and the
-/// transform hook consult; the coordinator owns the sequencing.
+/// observe a latch. T = 1 is the whole table — the paper's single fuzzy
+/// scan and one latch every concurrent writer sees. This class owns the
+/// geometry (which keys belong to which transform tablet) and the
+/// per-tablet state machine the coordinator and the transform hook consult;
+/// the coordinator owns the sequencing.
 ///
 /// Correctness rests on the operators' SupportsStaggeredTablets() contract:
 /// every propagation rule is LSN-gated per target record and decomposes by
@@ -74,14 +72,6 @@ class TabletTransformManager {
   size_t ShardBegin(size_t k) const { return space_.ShardBegin(k); }
   size_t ShardEnd(size_t k) const { return space_.ShardEnd(k); }
 
-  /// Table-latch range [begin, end) covered by transform tablet `k`:
-  /// latching these tablet latches of every source pauses exactly the keys
-  /// whose transform tablet is `k`.
-  size_t TableTabletBegin(size_t k) const { return k * latches_per_tablet_; }
-  size_t TableTabletEnd(size_t k) const {
-    return (k + 1) * latches_per_tablet_;
-  }
-
   TabletState state(size_t k) const {
     return static_cast<TabletState>(
         slots_[k].state.load(std::memory_order_acquire));
@@ -95,9 +85,6 @@ class TabletTransformManager {
   txn::TxnEpoch switch_epoch(size_t k) const {
     return slots_[k].switch_epoch.load(std::memory_order_acquire);
   }
-  int64_t latch_nanos(size_t k) const {
-    return slots_[k].latch_nanos.load(std::memory_order_acquire);
-  }
 
   /// kPending → kActive: tablet `k` is populated and its local catch-up
   /// pass has converged with the global cursor; from here the global
@@ -106,16 +93,13 @@ class TabletTransformManager {
 
   /// kActive → kMigrated, after the tablet's latched sync pass applied
   /// everything up to `sync_lsn` and the epoch advanced to `epoch` under
-  /// the latch. `latch_nanos` is the tablet's user-visible pause.
+  /// the latch. `latch_nanos` (the pause so far) goes to the trace event;
+  /// the coordinator records the pause in `transform.sync.latch_nanos`.
   void MarkMigrated(size_t k, Lsn sync_lsn, txn::TxnEpoch epoch,
                     int64_t latch_nanos);
 
   bool AnyMigrated() const {
     return migrated_count_.load(std::memory_order_acquire) > 0;
-  }
-  bool AllMigrated() const {
-    return migrated_count_.load(std::memory_order_acquire) ==
-           space_.num_tablets();
   }
   bool AllActivated() const {
     return activated_count_.load(std::memory_order_acquire) ==
@@ -133,7 +117,10 @@ class TabletTransformManager {
   /// cursor apply this data record?
   ///
   ///   pending  → no (the tablet's own mark + local pass will cover it);
-  ///   active   → yes (normal whole-table semantics);
+  ///   active   → records at or past the tablet's start LSN — earlier ones
+  ///              are in its populated image, exactly as a whole-table
+  ///              run's propagation starts at its start LSN (the global
+  ///              cursor can trail a tablet's mark when it activates);
   ///   migrated → only records *after* its latched sync pass (the pass
   ///              already applied everything up to sync_lsn; records at or
   ///              below it reappear when the global cursor started behind
@@ -146,7 +133,7 @@ class TabletTransformManager {
       case TabletState::kPending:
         return false;
       case TabletState::kActive:
-        return true;
+        return rec.lsn >= slot.start_lsn.load(std::memory_order_acquire);
       case TabletState::kMigrated:
         return rec.lsn > slot.sync_lsn.load(std::memory_order_acquire);
     }
@@ -172,11 +159,9 @@ class TabletTransformManager {
     std::atomic<Lsn> start_lsn{kInvalidLsn};
     std::atomic<Lsn> sync_lsn{kInvalidLsn};
     std::atomic<txn::TxnEpoch> switch_epoch{0};
-    std::atomic<int64_t> latch_nanos{0};
   };
 
   const storage::TabletSpace space_;
-  const size_t latches_per_tablet_;
   std::unique_ptr<TabletSlot[]> slots_;
   std::atomic<size_t> activated_count_{0};
   std::atomic<size_t> migrated_count_{0};

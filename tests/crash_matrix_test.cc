@@ -450,18 +450,14 @@ void RunMatrixRow(const Scenario& sc, SyncStrategy strategy,
                                     handoff, tablets);
   ASSERT_FALSE(sites.empty());
   // Sanity-pin the coverage: the phase boundaries every strategy crosses.
+  // Every run is a per-tablet sequence (the whole table is one tablet), so
+  // every row crosses the tablet seams and both sites of the latched pass.
   std::vector<const char*> expected_sites = {
       "transform.prepare.before",      "transform.fuzzy.begin",
       "transform.populate.batch",      "transform.propagate.iteration",
-      "transform.drain.iteration",     "transform.finalize.before_drop"};
-  if (tablets > 1) {
-    // The staggered path replaces the single whole-table latch window with
-    // per-tablet boundary and latched-sync sites.
-    expected_sites.push_back("transform.tablet.boundary");
-    expected_sites.push_back("transform.tablet.sync");
-  } else {
-    expected_sites.push_back("transform.sync.latched");
-  }
+      "transform.tablet.boundary",     "transform.tablet.sync",
+      "transform.sync.latched",        "transform.drain.iteration",
+      "transform.finalize.before_drop"};
   if (workers > 0 && handoff == PropagatorHandoff::kRing &&
       sc.writes_route_to_workers) {
     // The lock-free rows must cross the ring-publication site (it fires on
@@ -566,10 +562,10 @@ TEST(CrashMatrixTest, HSplitNonBlockingAbortParallelPopulate) {
 // --- staggered-tablet rows ---------------------------------------------------
 //
 // Same matrix with the transformation staggered over 4 hash-range tablets:
-// the enumeration now crosses the per-tablet boundary and latched-sync
-// sites ("transform.tablet.boundary", "transform.tablet.sync"), so a crash
-// is exercised at a tablet seam and inside a tablet's sync window like at
-// any other site. The recovery contract is unchanged — the half-migrated
+// the tablet sites ("transform.tablet.boundary", "transform.tablet.sync")
+// now fire once per tablet, and the first hit — the one the matrix crashes
+// at — lands on tablet 0 with three tablets still pending. The recovery
+// contract is unchanged — the half-migrated
 // targets were never logged, so restart sees only the recovered sources and
 // a staggered re-run rebuilds everything from scratch.
 TEST(CrashMatrixTest, VSplitNonBlockingAbortStaggered) {

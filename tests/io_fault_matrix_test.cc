@@ -534,20 +534,35 @@ TEST_F(IoFaultMatrixTest, EnospcStallsAdmissionAndUnwedges) {
                   .ok());
 
   // The disk fills with no horizon: every fsync reports ENOSPC until the
-  // test "frees space" by disarming the site.
+  // test "frees space" by disarming the site. The test's own append (a
+  // fuzzy mark, which recovery skips) triggers the first failed flush;
+  // wait for the stall to engage — the counter, then the admission gate
+  // itself — before any transaction starts.
   ASSERT_TRUE(IoFaults::Instance().ConfigureFromString("wal.fsync=enospc").ok());
+  {
+    wal::LogRecord trigger;
+    trigger.type = wal::LogRecordType::kFuzzyMark;
+    db.wal()->Append(std::move(trigger));
+  }
+  while (CounterValue("wal.stall.entered") == stalls_before ||
+         db.wal()->WaitWritable(/*timeout_millis=*/0).ok()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   Status stalled_commit;
   std::thread committer([&] {
+    // Started inside the stall: the BEGIN append parks on the admission
+    // gate until space frees, so the transaction never reaches Commit's
+    // admission check while the disk is full. The committer observes the
+    // whole episode as latency, never as an error.
     auto t = db.Begin();
-    // The BEGIN append slips in before the first failed flush and triggers
-    // it; the UPDATE append then parks on the admission gate until space
-    // frees. The committer observes the whole episode as latency, never
-    // as an error.
     const Status up = db.Update(t, table.get(), Row({int64_t{0}}),
                                 {{2, Value("stalled-then-durable")}});
     stalled_commit = up.ok() ? db.Commit(t) : up;
   });
+  while (CounterValue("wal.stall.appends_gated") <= gated_before) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   // Wait until the writer is demonstrably stuck in its ENOSPC retry loop.
   while (IoFaults::Instance().fires("wal.fsync") < 3) {
@@ -565,7 +580,8 @@ TEST_F(IoFaultMatrixTest, EnospcStallsAdmissionAndUnwedges) {
                                 {{2, Value("gated-then-durable")}});
     gated_commit = up.ok() ? db.Commit(t) : up;
   });
-  while (CounterValue("wal.stall.appends_gated") <= gated_before) {
+  // The committer's BEGIN was the first gated append; this is the second.
+  while (CounterValue("wal.stall.appends_gated") <= gated_before + 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 

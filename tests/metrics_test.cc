@@ -397,7 +397,7 @@ TEST(TabletObservabilityTest, StaggeredRunExportsPerTabletInstruments) {
   auto& fps = Failpoints::Instance();
   trace::Traces::Instance().ClearAll();
   const uint64_t latches_before =
-      registry.GetHistogram("transform.tablet.latch_nanos")->count();
+      registry.GetHistogram("transform.sync.latch_nanos")->count();
   const uint64_t skipped_before =
       registry.CounterValue("transform.tablet.ops_skipped");
 
@@ -422,7 +422,7 @@ TEST(TabletObservabilityTest, StaggeredRunExportsPerTabletInstruments) {
   EXPECT_EQ(registry.GaugeValue("transform.tablet.active"), 0);
 
   // One latched sync pause per tablet, each individually recorded.
-  EXPECT_EQ(registry.GetHistogram("transform.tablet.latch_nanos")->count(),
+  EXPECT_EQ(registry.GetHistogram("transform.sync.latch_nanos")->count(),
             latches_before + 4);
   EXPECT_GT(registry.CounterValue("transform.tablet.ops_skipped"),
             skipped_before);
@@ -448,18 +448,15 @@ TEST(TabletObservabilityTest, StaggeredRunExportsPerTabletInstruments) {
   EXPECT_EQ(migrated, 0b1111u) << "every tablet must trace its migration";
 }
 
-TEST(TabletObservabilityTest, WholeTableRunLeavesTabletInstrumentsAlone) {
+TEST(TabletObservabilityTest, WholeTableRunIsOneTablet) {
   using transform::testing::CellOptions;
   using transform::testing::CellResult;
   using transform::testing::Operator;
   using transform::testing::RunCell;
 
   auto& registry = Registry::Instance();
-  const int64_t total_before = registry.GaugeValue("transform.tablet.total");
-  const int64_t migrated_before =
-      registry.GaugeValue("transform.tablet.migrated");
   const uint64_t latches_before =
-      registry.GetHistogram("transform.tablet.latch_nanos")->count();
+      registry.GetHistogram("transform.sync.latch_nanos")->count();
   const uint64_t skipped_before =
       registry.CounterValue("transform.tablet.ops_skipped");
 
@@ -470,15 +467,14 @@ TEST(TabletObservabilityTest, WholeTableRunLeavesTabletInstrumentsAlone) {
   const CellResult cell = RunCell(Operator::kVSplit, opts);
   ASSERT_TRUE(cell.completed) << cell.abort_reason;
   ASSERT_EQ(cell.resolved_tablets, 1u);
-  // tablets = 1 is the historical whole-table path: no tablet manager is
-  // built, no records are filtered, no per-tablet latch is taken — the
-  // tablet instruments must not move, so a dashboard reading them during a
-  // whole-table run still shows the *last* staggered run's end-state.
-  EXPECT_EQ(registry.GaugeValue("transform.tablet.total"), total_before);
-  EXPECT_EQ(registry.GaugeValue("transform.tablet.migrated"),
-            migrated_before);
-  EXPECT_EQ(registry.GetHistogram("transform.tablet.latch_nanos")->count(),
-            latches_before);
+  // tablets = 1 runs the same per-tablet sequence over one tablet covering
+  // the whole table: it activates and migrates like any tablet, takes
+  // exactly one latch, and the global stream never skips a record.
+  EXPECT_EQ(registry.GaugeValue("transform.tablet.total"), 1);
+  EXPECT_EQ(registry.GaugeValue("transform.tablet.migrated"), 1);
+  EXPECT_EQ(registry.GaugeValue("transform.tablet.active"), 0);
+  EXPECT_EQ(registry.GetHistogram("transform.sync.latch_nanos")->count(),
+            latches_before + 1);
   EXPECT_EQ(registry.CounterValue("transform.tablet.ops_skipped"),
             skipped_before);
 }

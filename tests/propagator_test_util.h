@@ -26,6 +26,7 @@
 #include "transform/foj.h"
 #include "transform/hsplit.h"
 #include "transform/merge.h"
+#include "transform/op.h"
 #include "transform/propagator.h"
 #include "transform/split.h"
 
@@ -68,6 +69,11 @@ struct CellResult {
   uint64_t registry_ops_delta = 0;
   uint64_t registry_records_delta = 0;
   size_t ops_propagated = 0;
+  /// The ops the run must have applied, counted from the WAL: every source
+  /// data record from the first tablet's start LSN to the log end whose LSN
+  /// is at or past its own tablet's start LSN. A tablet's earlier records
+  /// are covered by its populate scan.
+  uint64_t wal_ops_expected = 0;
   /// Resolved propagation shape, straight from TransformStats.
   size_t resolved_workers = 0;
   /// Resolved tablet count (1 when the operator/config clamped staggering).
@@ -90,7 +96,7 @@ struct CellOptions {
   /// collapse to serial, so the check is skipped for them.
   bool expect_queue_work = true;
   /// Tablet count, applied both to the tables (DatabaseOptions) and the
-  /// transformation (TransformConfig). 1 = whole-table path. Operators that
+  /// transformation (TransformConfig). 1 = the whole table. Operators that
   /// don't support staggering clamp back to 1 — the differential still
   /// holds, the cell just exercises the fallback.
   size_t tablets = 1;
@@ -393,6 +399,16 @@ inline CellResult RunCell(Operator op, const CellOptions& opts) {
   result.adaptive_probe_windows = stats->adaptive_probe_windows;
   result.adaptive_collapses = stats->adaptive_collapses;
   result.adaptive_expansions = stats->adaptive_expansions;
+  const TabletTransformManager* tm = coord.tablet_manager();
+  (void)db.wal()->ScanChecked(
+      tm->start_lsn(0), db.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
+        const bool source = rec.table_id == a->id() ||
+                            (b != nullptr && rec.table_id == b->id());
+        if (source && Op::FromLogRecord(rec).has_value() &&
+            rec.lsn >= tm->start_lsn(tm->TabletOf(rec.key))) {
+          result.wal_ops_expected++;
+        }
+      });
   result.registry_ops_delta =
       registry.CounterValue("transform.propagate.ops") - ops_before;
   result.registry_records_delta =
