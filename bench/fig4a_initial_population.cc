@@ -7,19 +7,23 @@
 // throughput, then re-measures inside the transformation's population phase.
 //
 // A second sweep measures the *population pipeline* itself: unthrottled
-// (100% duty) wall time of InitialPopulate per worker count, written to
-// BENCH_fig4a_populate.json next to the core count that produced it (on a
-// single-core host the parallel speedup cannot show, which is exactly why
-// the core count is part of the record). `--quick` (or MORPH_BENCH_QUICK=1)
-// shrinks both sweeps to a CI-smoke-sized subset with the same JSON schema.
+// (100% duty) wall time of InitialPopulate per operator (split, FOJ) and
+// worker count, with ns/record per populate stage (scan / operator /
+// insert), written to BENCH_fig4a_populate.json next to the core count that
+// produced it (the parallel speedup depends on it, which is why the core
+// count is part of the record). `--quick` (or MORPH_BENCH_QUICK=1) shrinks
+// both sweeps to a CI-smoke-sized subset with the same JSON schema.
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "bench/harness/interference.h"
+#include "common/metrics.h"
 #include "transform/populate.h"
 #include "transform/priority.h"
 
@@ -27,66 +31,134 @@ using namespace morph::bench;
 
 namespace {
 
+// The populate stage counters (transform/populate.h), read around one
+// measured InitialPopulate.
+struct StageNanos {
+  double scan = 0, op = 0, insert = 0;
+
+  static StageNanos Read() {
+    auto& reg = morph::metrics::Registry::Instance();
+    StageNanos s;
+    s.scan = static_cast<double>(
+        reg.CounterValue("transform.populate.stage.scan_nanos"));
+    s.op = static_cast<double>(
+        reg.CounterValue("transform.populate.stage.operator_nanos"));
+    s.insert = static_cast<double>(
+        reg.CounterValue("transform.populate.stage.insert_nanos"));
+    return s;
+  }
+};
+
+// A freshly loaded scenario and the rules populating from it: populate is
+// a one-shot phase and the target tables must not pre-exist.
+struct PopulateRun {
+  std::shared_ptr<void> scenario;  // owns the database; outlives the rules
+  std::shared_ptr<morph::transform::OperatorRules> rules;
+};
+
+struct PopulateCase {
+  const char* op;
+  int64_t source_rows;  // rows the populate scans, over all sources
+  std::function<PopulateRun()> make;
+};
+
 // Unthrottled initial-population throughput (source rows consumed per
-// second) per population worker count. Each measurement gets a fresh
-// scenario: populate is a one-shot phase and the target tables must not
-// pre-exist.
+// second) per operator and population worker count, with the serial
+// path's ns/record per stage (summed over workers for parallel rows).
 void RunPopulateWorkerSweep(bool quick, const char* json_path) {
-  const int64_t rows = quick ? 30'000 : 120'000;
-  const int64_t groups = quick ? 10'000 : 40'000;
+  const int64_t split_rows = quick ? 30'000 : 120'000;
+  const int64_t split_groups = quick ? 10'000 : 40'000;
+  const int64_t foj_r_rows = quick ? 30'000 : 100'000;
+  const int64_t foj_s_rows = quick ? 12'000 : 40'000;
   const int reps = quick ? 1 : 3;
   const std::vector<size_t> worker_counts =
       quick ? std::vector<size_t>{0, 2, 4}
             : std::vector<size_t>{0, 1, 2, 4, 8};
   const unsigned cores = std::thread::hardware_concurrency();
 
-  PrintHeader("initial-population throughput vs. population workers (split, " +
-              std::to_string(rows) + " rows, 100% duty)");
+  const std::vector<PopulateCase> cases = {
+      {"split", split_rows,
+       [=] {
+         auto sc = std::make_shared<SplitScenario>(
+             SplitScenario::Make(split_rows, split_groups));
+         return PopulateRun{sc, sc->MakeRules()};
+       }},
+      {"foj", foj_r_rows + foj_s_rows,
+       [=] {
+         auto sc = std::make_shared<FojScenario>(
+             FojScenario::Make(foj_r_rows, foj_s_rows));
+         return PopulateRun{sc, sc->MakeRules()};
+       }},
+  };
+
+  PrintHeader("initial-population throughput vs. population workers "
+              "(split " + std::to_string(split_rows) + " rows, FOJ " +
+              std::to_string(foj_r_rows) + " x " +
+              std::to_string(foj_s_rows) + " rows, 100% duty)");
   std::printf("hardware_concurrency: %u\n", cores);
-  std::printf("%-8s %16s %10s\n", "workers", "records_per_sec", "speedup");
+  std::printf("%-9s %-8s %16s %10s %9s %9s %9s\n", "operator", "workers",
+              "records_per_sec", "speedup", "scan_ns", "op_ns", "insert_ns");
 
   struct Point {
+    const char* op;
+    int64_t source_rows;
     size_t workers;
     double records_per_sec;
+    double speedup;
+    StageNanos per_record;
   };
   std::vector<Point> points;
-  double serial = 0;
-  for (size_t workers : worker_counts) {
-    std::vector<double> rates;
-    for (int rep = 0; rep < reps; ++rep) {
-      SplitScenario sc = SplitScenario::Make(rows, groups);
-      auto rules = sc.MakeRules();
-      if (!rules->Prepare().ok()) std::abort();
-      morph::transform::PriorityController pc(1.0);
-      rules->set_throttle(&pc);
-      morph::transform::PopulateConfig config;
-      config.workers = workers;
-      rules->set_populate_config(config);
-      const auto t0 = morph::Clock::Now();
-      if (!rules->InitialPopulate().ok()) std::abort();
-      const double secs = morph::Clock::MicrosSince(t0) / 1e6;
-      rates.push_back(static_cast<double>(rows) / secs);
+  for (const PopulateCase& c : cases) {
+    double serial = 0;
+    for (size_t workers : worker_counts) {
+      std::vector<double> rates;
+      StageNanos sum;
+      for (int rep = 0; rep < reps; ++rep) {
+        const PopulateRun run = c.make();
+        morph::transform::OperatorRules* rules = run.rules.get();
+        if (!rules->Prepare().ok()) std::abort();
+        morph::transform::PriorityController pc(1.0);
+        rules->set_throttle(&pc);
+        morph::transform::PopulateConfig config;
+        config.workers = workers;
+        rules->set_populate_config(config);
+        const StageNanos before = StageNanos::Read();
+        const auto t0 = morph::Clock::Now();
+        if (!rules->InitialPopulate().ok()) std::abort();
+        const double secs = morph::Clock::MicrosSince(t0) / 1e6;
+        const StageNanos after = StageNanos::Read();
+        rates.push_back(static_cast<double>(c.source_rows) / secs);
+        sum.scan += after.scan - before.scan;
+        sum.op += after.op - before.op;
+        sum.insert += after.insert - before.insert;
+      }
+      const double records = static_cast<double>(c.source_rows) * reps;
+      Point p{c.op, c.source_rows, workers, MedianOf(rates), 0,
+              {sum.scan / records, sum.op / records, sum.insert / records}};
+      if (workers == 0) serial = p.records_per_sec;
+      p.speedup = serial > 0 ? p.records_per_sec / serial : 0.0;
+      points.push_back(p);
+      std::printf("%-9s %-8zu %16.0f %10.2f %9.0f %9.0f %9.0f\n", p.op,
+                  p.workers, p.records_per_sec, p.speedup, p.per_record.scan,
+                  p.per_record.op, p.per_record.insert);
     }
-    const double rate = MedianOf(rates);
-    if (workers == 0) serial = rate;
-    points.push_back({workers, rate});
-    std::printf("%-8zu %16.0f %10.2f\n", workers, rate,
-                serial > 0 ? rate / serial : 0.0);
   }
 
   if (std::FILE* f = std::fopen(json_path, "w")) {
     std::fprintf(f,
                  "{\n  \"bench\": \"fig4a_populate_worker_sweep\",\n"
-                 "  \"quick\": %s,\n  \"cores\": %u,\n  \"rows\": %lld,\n"
-                 "  \"results\": [",
-                 quick ? "true" : "false", cores,
-                 static_cast<long long>(rows));
+                 "  \"quick\": %s,\n  \"cores\": %u,\n  \"results\": [",
+                 quick ? "true" : "false", cores);
     for (size_t i = 0; i < points.size(); ++i) {
+      const Point& p = points[i];
       std::fprintf(f,
-                   "%s\n    {\"workers\": %zu, \"records_per_sec\": %.0f, "
-                   "\"speedup\": %.3f}",
-                   i ? "," : "", points[i].workers, points[i].records_per_sec,
-                   serial > 0 ? points[i].records_per_sec / serial : 0.0);
+                   "%s\n    {\"operator\": \"%s\", \"rows\": %lld, "
+                   "\"workers\": %zu, \"records_per_sec\": %.0f, "
+                   "\"speedup\": %.3f, \"stage_ns_per_record\": "
+                   "{\"scan\": %.0f, \"operator\": %.0f, \"insert\": %.0f}}",
+                   i ? "," : "", p.op, static_cast<long long>(p.source_rows),
+                   p.workers, p.records_per_sec, p.speedup, p.per_record.scan,
+                   p.per_record.op, p.per_record.insert);
     }
     std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);

@@ -162,12 +162,15 @@ std::string Registry::DumpJson() const {
   for (const auto& [name, h] : histograms_) {
     out += first ? "\n" : ",\n";
     first = false;
+    // A latency histogram's name ends in `_nanos`; a value histogram's not.
+    const std::string unit = name.ends_with("_nanos") ? "_nanos" : "";
     out += "    \"" + EscapeJson(name) + "\": {\"count\": " +
            std::to_string(h->count()) +
-           ", \"sum_nanos\": " + std::to_string(h->sum_nanos()) +
-           ", \"p50_nanos\": " + std::to_string(h->QuantileNanos(0.50)) +
-           ", \"p95_nanos\": " + std::to_string(h->QuantileNanos(0.95)) +
-           ", \"p99_nanos\": " + std::to_string(h->QuantileNanos(0.99)) + "}";
+           ", \"sum" + unit + "\": " + std::to_string(h->sum()) +
+           ", \"p50" + unit + "\": " + std::to_string(h->Quantile(0.50)) +
+           ", \"p95" + unit + "\": " + std::to_string(h->Quantile(0.95)) +
+           ", \"p99" + unit + "\": " + std::to_string(h->Quantile(0.99)) +
+           "}";
   }
   out += "\n  }\n}";
   return out;

@@ -43,21 +43,23 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// \brief Log-scale latency histogram over nanoseconds: bucket i counts
-/// samples in (2^i, 2^(i+1)] ns, 48 buckets (≈ 78 hours) — recording is one
-/// relaxed fetch_add on the matching bucket plus one on the running sum.
-/// Quantiles are resolved to a bucket upper bound, the same fidelity the
-/// bench harness' LatencyHistogram offers.
+/// \brief Log-scale histogram: bucket i counts samples in (2^i, 2^(i+1)],
+/// 48 buckets — recording is one relaxed fetch_add on the matching bucket
+/// plus one on the running sum. Quantiles are resolved to a bucket upper
+/// bound, the same fidelity the bench harness' LatencyHistogram offers.
+///
+/// Samples are nanoseconds for latencies (MORPH_HISTOGRAM_NANOS, ≈ 78 hours
+/// of range) or plain values such as batch sizes (MORPH_HISTOGRAM_VALUE).
+/// The name says which: a latency histogram's name ends in `_nanos`.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 48;
 
-  void RecordNanos(int64_t nanos) {
-    if (nanos < 0) nanos = 0;
-    buckets_[BucketFor(static_cast<uint64_t>(nanos))].fetch_add(
+  void Record(int64_t v) {
+    if (v < 0) v = 0;
+    buckets_[BucketFor(static_cast<uint64_t>(v))].fetch_add(
         1, std::memory_order_relaxed);
-    sum_nanos_.fetch_add(static_cast<uint64_t>(nanos),
-                         std::memory_order_relaxed);
+    sum_.fetch_add(static_cast<uint64_t>(v), std::memory_order_relaxed);
   }
 
   uint64_t count() const {
@@ -66,12 +68,10 @@ class Histogram {
     return n;
   }
 
-  uint64_t sum_nanos() const {
-    return sum_nanos_.load(std::memory_order_relaxed);
-  }
+  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
 
-  /// Upper bound (ns) of the bucket holding the q-quantile; 0 when empty.
-  uint64_t QuantileNanos(double q) const {
+  /// Upper bound of the bucket holding the q-quantile; 0 when empty.
+  uint64_t Quantile(double q) const {
     uint64_t counts[kBuckets];
     uint64_t total = 0;
     for (size_t i = 0; i < kBuckets; ++i) {
@@ -94,18 +94,18 @@ class Histogram {
 
   void Reset() {
     for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    sum_nanos_.store(0, std::memory_order_relaxed);
+    sum_.store(0, std::memory_order_relaxed);
   }
 
  private:
-  static size_t BucketFor(uint64_t nanos) {
+  static size_t BucketFor(uint64_t v) {
     size_t i = 0;
-    while (i + 1 < kBuckets && (uint64_t{1} << (i + 1)) < nanos) ++i;
+    while (i + 1 < kBuckets && (uint64_t{1} << (i + 1)) < v) ++i;
     return i;
   }
 
   std::atomic<uint64_t> buckets_[kBuckets]{};
-  std::atomic<uint64_t> sum_nanos_{0};
+  std::atomic<uint64_t> sum_{0};
 };
 
 /// \brief Process-wide registry of named instruments.
@@ -142,8 +142,10 @@ class Registry {
 
   /// Full JSON snapshot: {"counters": {...}, "gauges": {...},
   /// "histograms": {name: {count, sum_nanos, p50_nanos, p95_nanos,
-  /// p99_nanos}}}. Valid JSON by construction (names are code-controlled
-  /// but escaped anyway).
+  /// p99_nanos}}} — for a histogram whose name does not end in `_nanos`
+  /// (a value histogram) {count, sum, p50, p95, p99}.
+  /// Valid JSON by construction (names are code-controlled but escaped
+  /// anyway).
   std::string DumpJson() const;
 
  private:
@@ -184,5 +186,13 @@ inline void ResetAll() { Registry::Instance().ResetAll(); }
   do {                                                               \
     static ::morph::metrics::Histogram* _morph_metric_h =            \
         ::morph::metrics::Registry::Instance().GetHistogram(name);   \
-    _morph_metric_h->RecordNanos(nanos);                             \
+    _morph_metric_h->Record(nanos);                                  \
+  } while (false)
+
+/// Like MORPH_HISTOGRAM_NANOS, for a dimensionless value (a batch size).
+#define MORPH_HISTOGRAM_VALUE(name, value)                           \
+  do {                                                               \
+    static ::morph::metrics::Histogram* _morph_metric_h =            \
+        ::morph::metrics::Registry::Instance().GetHistogram(name);   \
+    _morph_metric_h->Record(value);                                  \
   } while (false)

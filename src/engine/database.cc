@@ -22,7 +22,7 @@ Status Database::DropTable(const std::string& name) {
 
 TxnPtr Database::Begin() {
   MORPH_COUNTER_INC("engine.txn.begins");
-  return txns_.Begin(epoch_.load(std::memory_order_acquire));
+  return txns_.Begin(&epoch_);
 }
 
 Status Database::Commit(const TxnPtr& t) {

@@ -1,16 +1,33 @@
 #include "storage/index.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace morph::storage {
 
+template <typename K, typename P>
+void SecondaryIndex::AddLocked(K&& index_key, P&& pk) {
+  auto [it, fresh] = map_.try_emplace(std::forward<K>(index_key));
+  auto& pks = it->second;
+  if (!fresh && std::find(pks.begin(), pks.end(), pk) != pks.end()) return;
+  pks.push_back(std::forward<P>(pk));
+}
+
 void SecondaryIndex::Add(const Row& index_key, const Row& pk) {
   std::unique_lock lock(mu_);
-  auto& pks = map_[index_key];
-  for (const Row& existing : pks) {
-    if (existing == pk) return;
+  AddLocked(index_key, pk);
+}
+
+void SecondaryIndex::AddBatch(std::vector<Row> keys, std::vector<Row> pks) {
+  std::unique_lock lock(mu_);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    AddLocked(std::move(keys[i]), std::move(pks[i]));
   }
-  pks.push_back(pk);
+}
+
+void SecondaryIndex::Reserve(size_t n) {
+  std::unique_lock lock(mu_);
+  if (map_.bucket_count() * map_.max_load_factor() < n) map_.reserve(n);
 }
 
 void SecondaryIndex::Remove(const Row& index_key, const Row& pk) {

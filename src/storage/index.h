@@ -34,8 +34,18 @@ class SecondaryIndex {
   /// \brief Extracts this index's key from a full row.
   Row KeyOf(const Row& row) const { return row.Project(column_indices_); }
 
+  /// \brief Adds the (index_key, pk) entry; a pair already present is not
+  /// added twice.
   void Add(const Row& index_key, const Row& pk);
   void Remove(const Row& index_key, const Row& pk);
+
+  /// \brief Add for a batch of entries (`keys[i]`, `pks[i]`) under one
+  /// mutex acquisition. Keys and primary keys are moved in; the duplicate
+  /// scan runs only for a key that already existed.
+  void AddBatch(std::vector<Row> keys, std::vector<Row> pks);
+
+  /// \brief Pre-sizes the map for `n` distinct index keys (never shrinks).
+  void Reserve(size_t n);
 
   /// \brief All primary keys with this index key (copy).
   std::vector<Row> Lookup(const Row& index_key) const;
@@ -48,6 +58,11 @@ class SecondaryIndex {
   void Clear();
 
  private:
+  /// The insert rule shared by Add and AddBatch, run with `mu_` held: the
+  /// key is copied or moved in only when absent, the pk only when new.
+  template <typename K, typename P>
+  void AddLocked(K&& index_key, P&& pk);
+
   const std::string name_;
   const std::vector<size_t> column_indices_;
   mutable std::mutex mu_;

@@ -23,6 +23,27 @@ Table::Table(TableId id, std::string name, Schema schema, size_t num_shards,
       tablets_(shard_mask_ + 1, num_tablets),
       latches_(tablets_.num_tablets()) {}
 
+std::vector<SecondaryIndex*> Table::IndexSnapshot() const {
+  std::unique_lock lock(indexes_mu_);
+  std::vector<SecondaryIndex*> out;
+  out.reserve(indexes_.size());
+  for (const auto& idx : indexes_) out.push_back(idx.get());
+  return out;
+}
+
+void Table::Reserve(size_t n) {
+  // Hash skew leaves some shards above the mean; an eighth of slack keeps
+  // them from rehashing.
+  const size_t per_shard = n / shards_.size() + n / (8 * shards_.size()) + 1;
+  for (Shard& shard : shards_) {
+    std::unique_lock lock(shard.mu);
+    if (shard.map.bucket_count() * shard.map.max_load_factor() < per_shard) {
+      shard.map.reserve(per_shard);
+    }
+  }
+  for (SecondaryIndex* idx : IndexSnapshot()) idx->Reserve(n);
+}
+
 void Table::IndexAdd(const Record& record, const Row& pk) {
   MORPH_FAILPOINT_VOID("storage.index.add");
   std::unique_lock lock(indexes_mu_);
@@ -208,50 +229,73 @@ Result<Table::BatchStats> Table::ApplyBatch(std::vector<Record> records,
   BatchStats stats;
   if (records.empty()) return stats;
   MORPH_FAILPOINT("storage.table.insert_batch");
+  const size_t n = records.size();
 
-  // Resolve within-batch duplicates up front so the shard pass stores at
-  // most one record per key: first occurrence wins (plain insert) or the
-  // highest-LSN occurrence wins (LSN-gated upsert) — matching what the
-  // per-record Insert / Insert+Mutate loops produced.
+  // Each primary key is extracted once. `keep` drops the in-batch losers:
+  // the LSN-gated upsert resolves them up front (the highest-LSN
+  // occurrence wins); a plain insert keeps every record, because the shard
+  // pass below runs in batch order and so already lets the first
+  // occurrence win and counts the rest as skipped.
   std::vector<Row> pks;
-  pks.reserve(records.size());
+  pks.reserve(n);
   for (const Record& rec : records) pks.push_back(schema_.KeyOf(rec.row));
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  {
+  std::vector<char> keep(n, 1);
+  if (lsn_upsert) {
     std::unordered_map<Row, size_t, RowHasher> winner;
-    winner.reserve(records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
+    winner.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
       auto [it, fresh] = winner.try_emplace(pks[i], i);
       if (fresh) continue;
       stats.skipped++;
-      if (lsn_upsert && records[it->second].lsn < records[i].lsn) {
+      if (records[it->second].lsn < records[i].lsn) {
+        keep[it->second] = 0;
         it->second = i;
+      } else {
+        keep[i] = 0;
       }
     }
-    for (const auto& [pk, i] : winner) {
-      by_shard[pk.Hash() & shard_mask_].push_back(i);
+  }
+
+  // Per-shard lists in batch order: within a shard the first occurrence
+  // of a key is stored first.
+  std::vector<std::vector<size_t>> by_shard(shards_.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (keep[i]) by_shard[pks[i].Hash() & shard_mask_].push_back(i);
+  }
+
+  // Index keys are taken now, outside every shard mutex: the shard pass
+  // moves the records into the table.
+  const std::vector<SecondaryIndex*> indexes = IndexSnapshot();
+  std::vector<std::vector<Row>> index_keys(indexes.size(),
+                                           std::vector<Row>(n));
+  for (size_t k = 0; k < indexes.size(); ++k) {
+    for (size_t i = 0; i < n; ++i) {
+      if (keep[i]) index_keys[k][i] = indexes[k]->KeyOf(records[i].row);
     }
   }
 
   // One mutex acquisition per destination shard. Replaced old images are
   // kept aside: their index entries must go, but never under a shard mutex
   // (the lock-order rule every mutation path follows).
-  std::vector<size_t> added;       // records[] indices needing IndexAdd
+  std::vector<size_t> stored;      // records[] indices now in the table
   std::vector<Record> replaced;    // old images needing IndexRemove
   std::vector<size_t> replaced_i;  // parallel: records[] index of the winner
+  stored.reserve(n);
   for (size_t sh = 0; sh < shards_.size(); ++sh) {
     if (by_shard[sh].empty()) continue;
     Shard& shard = shards_[sh];
     std::unique_lock lock(shard.mu);
     for (size_t i : by_shard[sh]) {
-      auto [it, inserted] = shard.map.try_emplace(pks[i], records[i]);
+      auto [it, inserted] =
+          shard.map.try_emplace(pks[i], std::move(records[i]));
       if (inserted) {
         stats.inserted++;
-        added.push_back(i);
+        stored.push_back(i);
       } else if (lsn_upsert && it->second.lsn < records[i].lsn) {
         replaced.push_back(std::move(it->second));
         replaced_i.push_back(i);
-        it->second = records[i];
+        it->second = std::move(records[i]);
+        stored.push_back(i);
         stats.replaced++;
       } else {
         stats.skipped++;
@@ -260,19 +304,47 @@ Result<Table::BatchStats> Table::ApplyBatch(std::vector<Record> records,
   }
   MORPH_COUNTER_ADD("storage.table.inserts",
                     static_cast<int64_t>(stats.inserted + stats.replaced));
+  if (stored.empty()) return stats;
 
-  // Index maintenance outside the shard mutexes, amortized to one
-  // indexes_mu_ acquisition for the whole batch.
-  if (!added.empty() || !replaced.empty()) {
-    std::unique_lock lock(indexes_mu_);
-    for (auto& idx : indexes_) {
-      for (size_t k = 0; k < replaced.size(); ++k) {
-        const size_t i = replaced_i[k];
-        idx->Remove(idx->KeyOf(replaced[k].row), pks[i]);
-        idx->Add(idx->KeyOf(records[i].row), pks[i]);
-      }
-      for (size_t i : added) idx->Add(idx->KeyOf(records[i].row), pks[i]);
+  // An index created since the snapshot above got no keys from it, and its
+  // backfill may have scanned these shards before the records were stored.
+  // Its entries come from the stored records; Add deduplicates against the
+  // backfill.
+  const std::vector<SecondaryIndex*> now = IndexSnapshot();
+  for (size_t k = indexes.size(); k < now.size(); ++k) {
+    SecondaryIndex* idx = now[k];
+    for (size_t r = 0; r < replaced.size(); ++r) {
+      idx->Remove(idx->KeyOf(replaced[r].row), pks[replaced_i[r]]);
     }
+    for (size_t i : stored) {
+      Row key;
+      {
+        Shard& shard = ShardFor(pks[i]);
+        std::unique_lock lock(shard.mu);
+        auto it = shard.map.find(pks[i]);
+        if (it == shard.map.end()) continue;
+        key = idx->KeyOf(it->second.row);
+      }
+      idx->Add(key, pks[i]);
+    }
+  }
+
+  // One AddBatch per index; the last index takes the primary keys by move.
+  for (size_t k = 0; k < indexes.size(); ++k) {
+    SecondaryIndex* idx = indexes[k];
+    for (size_t r = 0; r < replaced.size(); ++r) {
+      idx->Remove(idx->KeyOf(replaced[r].row), pks[replaced_i[r]]);
+    }
+    const bool last = k + 1 == indexes.size();
+    std::vector<Row> keys;
+    std::vector<Row> batch_pks;
+    keys.reserve(stored.size());
+    batch_pks.reserve(stored.size());
+    for (size_t i : stored) {
+      keys.push_back(std::move(index_keys[k][i]));
+      batch_pks.push_back(last ? std::move(pks[i]) : pks[i]);
+    }
+    idx->AddBatch(std::move(keys), std::move(batch_pks));
   }
   return stats;
 }

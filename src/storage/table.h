@@ -77,15 +77,20 @@ class Table {
   };
 
   /// \brief Bulk insert for the population pipeline: records are grouped by
-  /// destination shard so each shard mutex is taken once per batch, and all
-  /// secondary-index maintenance runs as one pass under one indexes_mu_
-  /// acquisition — versus one mutex pair per record on the Insert path.
+  /// destination shard so each shard mutex is taken once per batch, and
+  /// each secondary index gets one SecondaryIndex::AddBatch — versus one
+  /// mutex pair per record on the Insert path. Records are moved into the
+  /// table, never copied; their index keys are taken before the move,
+  /// outside every shard mutex.
   ///
   /// Duplicate keys are *tolerated*, not errors: within the batch the first
   /// occurrence wins, against stored records the stored one wins — exactly
   /// what a loop of Insert calls ignoring AlreadyExists produces, which is
   /// how the fuzzy population treats anomaly duplicates (the log converges
   /// them later).
+  ///
+  /// An index created by a concurrent CreateIndex while the batch runs gets
+  /// its entries from the stored records, so the backfill guarantee holds.
   Result<BatchStats> InsertBatch(std::vector<Record> records);
 
   /// \brief Like InsertBatch, but an existing record is replaced when the
@@ -164,6 +169,11 @@ class Table {
 
   size_t size() const;
 
+  /// \brief Pre-sizes every shard map and every secondary index for `n`
+  /// records in total, so a bulk population does not rehash as it grows.
+  /// A hint: it never shrinks anything and changes no contents.
+  void Reserve(size_t n);
+
   /// \brief Creates a secondary index over `column_names` and backfills it
   /// from the current contents. Fails if an index with that name exists or a
   /// column is unknown.
@@ -203,6 +213,10 @@ class Table {
   const Shard& ShardFor(const Row& key) const {
     return shards_[key.Hash() & shard_mask_];
   }
+
+  /// The current indexes. Indexes are only ever appended, so an earlier
+  /// snapshot is a prefix of a later one and the pointers stay valid.
+  std::vector<SecondaryIndex*> IndexSnapshot() const;
 
   void IndexAdd(const Record& record, const Row& pk);
   void IndexRemove(const Record& record, const Row& pk);

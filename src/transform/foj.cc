@@ -108,6 +108,8 @@ Status FojRules::InitialPopulate() {
   // duplicates from fuzzy anomalies are tolerated — the log converges them.
   const PopulateConfig& config = populate_config();
   const size_t parts = std::max<size_t>(1, config.workers);
+  // A one-to-many join emits |R| + (unmatched S) rows: |R| + |S| bounds it.
+  t_->Reserve(r_->size() + s_->size());
 
   struct SPartition {
     std::vector<Row> rows;
@@ -132,7 +134,7 @@ Status FojRules::InitialPopulate() {
         std::vector<std::vector<Row>>& mine = buckets[w.index()];
         for (size_t sh = w.index(); sh < s_->num_shards();
              sh += w.partitions()) {
-          for (storage::Record& rec : s_->SnapshotShard(sh)) {
+          for (storage::Record& rec : w.Snapshot(*s_, sh)) {
             const Value& jv = rec.row[s_join_idx_];
             if (jv.is_null()) {
               storage::Record out;
@@ -182,7 +184,7 @@ Status FojRules::InitialPopulate() {
         const Row s_nulls = Row::Nulls(s_width_);
         for (size_t sh = w.index(); sh < r_->num_shards();
              sh += w.partitions()) {
-          for (const storage::Record& rec : r_->SnapshotShard(sh)) {
+          for (const storage::Record& rec : w.Snapshot(*r_, sh)) {
             const Row& r_row = rec.row;
             const Value& jv = r_row[r_join_idx_];
             bool matched_any = false;

@@ -28,7 +28,11 @@ Status HorizontalSplitRules::InitialPopulate() {
   // Shard-partitioned fuzzy scan of T; each worker routes its verbatim
   // copies (source LSN = state identifier) into one batch sink per side.
   // Each T key lives in exactly one shard, so exactly one worker emits it —
-  // the targets are identical for any worker count.
+  // the targets are identical for any worker count. Either side holds at
+  // most every source row.
+  const size_t source_rows = t_src_->size();
+  r_->Reserve(source_rows);
+  s_->Reserve(source_rows);
   return RunPopulatePhase(
       throttle_controller(), populate_config(),
       [&](PopulateWorker& w) -> Status {
@@ -38,7 +42,7 @@ Status HorizontalSplitRules::InitialPopulate() {
         const size_t hi = config.ClampedShardEnd(t_src_->num_shards());
         for (size_t sh = config.shard_begin + w.index(); sh < hi;
              sh += w.partitions()) {
-          for (storage::Record& rec : t_src_->SnapshotShard(sh)) {
+          for (storage::Record& rec : w.Snapshot(*t_src_, sh)) {
             storage::Record copy;
             copy.row = std::move(rec.row);
             copy.lsn = rec.lsn;

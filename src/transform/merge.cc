@@ -51,6 +51,7 @@ Status MergeRules::InitialPopulate() {
   // propagation rules sound. The gate is evaluated inside the table under
   // its shard mutex, so it resolves duplicates across *workers'* batches in
   // any arrival order just as it did across the two serial scans.
+  t_->Reserve(r_->size() + s_->size());
   return RunPopulatePhase(
       throttle_controller(), populate_config(),
       [&](PopulateWorker& w) -> Status {
@@ -60,7 +61,7 @@ Status MergeRules::InitialPopulate() {
           const size_t hi = config.ClampedShardEnd(src->num_shards());
           for (size_t sh = config.shard_begin + w.index(); sh < hi;
                sh += w.partitions()) {
-            for (storage::Record& rec : src->SnapshotShard(sh)) {
+            for (storage::Record& rec : w.Snapshot(*src, sh)) {
               storage::Record copy;
               copy.row = std::move(rec.row);
               copy.lsn = rec.lsn;

@@ -22,16 +22,24 @@ Status BatchSink::Flush() {
                           : target_->InsertBatch(std::move(batch_));
   batch_.clear();  // moved-from: restore a defined empty state
   batch_.reserve(worker_->batch_size());
+  worker_->insert_nanos_ += Clock::NanosSince(t0);
   if (!result.ok()) return result.status();
-  MORPH_HISTOGRAM_NANOS("transform.populate.insert_nanos",
-                        Clock::NanosSince(t0));
-  MORPH_HISTOGRAM_NANOS("transform.populate.batch_records",
+  MORPH_HISTOGRAM_VALUE("transform.populate.batch_records",
                         static_cast<int64_t>(n));
   MORPH_COUNTER_ADD("transform.populate.records", static_cast<int64_t>(n));
   // Pay for the whole slice since the worker's last payment: the scan and
   // operator work that filled this batch, plus the insert itself.
   worker_->PayThrottle();
   return Status::OK();
+}
+
+void PopulateWorker::RecordStages() const {
+  const int64_t wall = Clock::NanosSince(start_);
+  const int64_t op = wall - scan_nanos_ - insert_nanos_ - slept_nanos_;
+  MORPH_COUNTER_ADD("transform.populate.stage.scan_nanos", scan_nanos_);
+  MORPH_COUNTER_ADD("transform.populate.stage.insert_nanos", insert_nanos_);
+  MORPH_COUNTER_ADD("transform.populate.stage.operator_nanos",
+                    op > 0 ? op : 0);
 }
 
 Status RunPopulatePhase(PriorityController* throttle,
@@ -44,6 +52,7 @@ Status RunPopulatePhase(PriorityController* throttle,
     PopulateWorker worker(0, 1, batch, throttle);
     const Status st = body(worker);
     if (st.ok()) worker.PayThrottle();
+    worker.RecordStages();
     return st;
   }
 
@@ -67,9 +76,9 @@ Status RunPopulatePhase(PriorityController* throttle,
         if (!first_exception) first_exception = std::current_exception();
         return;
       }
-      if (st.ok()) {
-        worker.PayThrottle();
-      } else {
+      if (st.ok()) worker.PayThrottle();
+      worker.RecordStages();
+      if (!st.ok()) {
         std::unique_lock lock(err_mu);
         if (first_error.ok()) first_error = st;
       }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <vector>
 
@@ -17,7 +18,11 @@ namespace morph::transform {
 /// worker w owning source shards (and any hash-partitioned build state)
 /// congruent to w modulo the worker count. Records leave each worker through
 /// a BatchSink, which amortizes shard-mutex and index traffic via
-/// Table::InsertBatch and pays the duty cycle on every flush.
+/// Table::InsertBatch and pays the duty cycle on every flush. Each operator
+/// pre-sizes its targets (Table::Reserve) from its source sizes before the
+/// first phase, and reads its sources through PopulateWorker::Snapshot, so
+/// the phase's time splits into the transform.populate.stage.{scan,
+/// operator,insert}_nanos counters (summed over workers).
 ///
 /// Design rule carried over from the propagation pipeline: the serial path
 /// is the N = 0 case of the same code — zero workers runs the identical
@@ -83,12 +88,24 @@ class PopulateWorker {
   /// payment (the sleep, if owed, happens here; slept time is not counted
   /// as work).
   void PayThrottle() {
-    const int64_t work = Clock::NanosSince(mark_);
-    throttle_.OnWorkDone(work);
+    const Clock::TimePoint now = Clock::Now();
+    throttle_.OnWorkDone(NanosBetween(mark_, now));
     mark_ = Clock::Now();
+    slept_nanos_ += NanosBetween(now, mark_);
+  }
+
+  /// \brief Table::SnapshotShard, timed as the scan stage. Every operator
+  /// reads its sources through here.
+  std::vector<storage::Record> Snapshot(const storage::Table& table,
+                                        size_t shard) {
+    const Clock::TimePoint t0 = Clock::Now();
+    std::vector<storage::Record> records = table.SnapshotShard(shard);
+    scan_nanos_ += Clock::NanosSince(t0);
+    return records;
   }
 
  private:
+  friend class BatchSink;
   friend Status RunPopulatePhase(
       PriorityController* throttle, const PopulateConfig& config,
       const std::function<Status(PopulateWorker&)>& body);
@@ -99,23 +116,40 @@ class PopulateWorker {
         partitions_(partitions),
         batch_size_(batch_size),
         throttle_(controller),
-        mark_(Clock::Now()) {}
+        start_(Clock::Now()),
+        mark_(start_) {}
+
+  static int64_t NanosBetween(Clock::TimePoint from, Clock::TimePoint to) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+        .count();
+  }
+
+  /// Adds this worker's phase to the transform.populate.stage.* counters:
+  /// scan (source snapshots), insert (BatchSink flushes) and operator (the
+  /// rest of the phase's wall time minus throttle sleeps — build, probe
+  /// and row construction).
+  void RecordStages() const;
 
   const size_t index_;
   const size_t partitions_;
   const size_t batch_size_;
   PriorityController::WorkerThrottle throttle_;
+  const Clock::TimePoint start_;
   Clock::TimePoint mark_;
+  int64_t scan_nanos_ = 0;
+  int64_t insert_nanos_ = 0;
+  int64_t slept_nanos_ = 0;
 };
 
 /// \brief Per-worker batched sink into one target table.
 ///
 /// Add() buffers; every batch_size records (and on the final Flush) the
 /// buffer goes to the table as one grouped batch — one shard-mutex
-/// acquisition per destination shard, one index pass — after which the
-/// worker pays the duty cycle for everything since its last payment. The
-/// sink is how the split's S-side flush, once an unthrottled burst, became
-/// throttled for free: all population inserts funnel through here.
+/// acquisition per destination shard, one AddBatch per index, timed as the
+/// insert stage — after which the worker pays the duty cycle for
+/// everything since its last payment. The sink is how the split's S-side
+/// flush, once an unthrottled burst, became throttled for free: all
+/// population inserts funnel through here.
 class BatchSink {
  public:
   enum class Mode {

@@ -127,6 +127,11 @@ Status SplitRules::InitialPopulate() {
 
   const PopulateConfig& config = populate_config();
   const size_t parts = std::max<size_t>(1, config.workers);
+  // R gets one record per T record; S at most as many. A staggered run
+  // sizes the targets for the whole table on its first tablet.
+  const size_t source_rows = t_src_->size();
+  r_->Reserve(source_rows);
+  s_->Reserve(source_rows);
   // accums[scanner][partition]: scanner-local S-side partials, bucketed by
   // split-key hash. No SAccum map is ever shared between threads — scanners
   // write only their own row, owners merge only their own column.
@@ -141,7 +146,7 @@ Status SplitRules::InitialPopulate() {
         const size_t hi = config.ClampedShardEnd(t_src_->num_shards());
         for (size_t sh = config.shard_begin + w.index(); sh < hi;
              sh += w.partitions()) {
-          for (const storage::Record& rec : t_src_->SnapshotShard(sh)) {
+          for (const storage::Record& rec : w.Snapshot(*t_src_, sh)) {
             storage::Record r_rec;
             r_rec.row = rec.row.Project(r_cols_);
             r_rec.lsn = rec.lsn;

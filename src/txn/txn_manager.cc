@@ -16,7 +16,8 @@ std::string_view TxnStateToString(TxnState state) {
   return "UNKNOWN";
 }
 
-std::shared_ptr<Transaction> TransactionManager::Begin(TxnEpoch epoch) {
+std::shared_ptr<Transaction> TransactionManager::Begin(
+    const std::atomic<TxnEpoch>* epoch_source) {
   std::unique_lock lock(mu_);
   const TxnId id = next_id_++;
   lock.unlock();
@@ -27,8 +28,13 @@ std::shared_ptr<Transaction> TransactionManager::Begin(TxnEpoch epoch) {
   const Lsn lsn = wal_->Append(std::move(rec));
 
   auto t = std::make_shared<Transaction>(id, lsn);
-  t->set_epoch(epoch);
   lock.lock();
+  // Epoch read and registration are one step under mu_: an advance that
+  // happened before an ActiveBefore scan is visible here, and a Begin that
+  // read the old epoch is already in active_ when that scan runs.
+  if (epoch_source != nullptr) {
+    t->set_epoch(epoch_source->load(std::memory_order_acquire));
+  }
   active_[id] = t;
   return t;
 }

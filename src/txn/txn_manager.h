@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -38,10 +39,15 @@ class TransactionManager {
   TransactionManager(const TransactionManager&) = delete;
   TransactionManager& operator=(const TransactionManager&) = delete;
 
-  /// \brief Starts a transaction: assigns the next id, logs BEGIN, registers
-  /// it in the active table. `epoch` is stamped before registration so epoch
-  /// snapshots never observe a half-initialized transaction.
-  std::shared_ptr<Transaction> Begin(TxnEpoch epoch = 0);
+  /// \brief Starts a transaction: assigns the next id, logs BEGIN, and
+  /// registers it in the active table. The epoch is read from
+  /// `epoch_source` (0 when null) under the same mutex that registers the
+  /// transaction and that ActiveBefore takes, so a Begin racing an epoch
+  /// advance either reads the new epoch or is registered in time for
+  /// ActiveBefore(new epoch) to see it — it can never run with an old
+  /// epoch unseen by a switch-over's drain.
+  std::shared_ptr<Transaction> Begin(
+      const std::atomic<TxnEpoch>* epoch_source = nullptr);
 
   /// \brief Logs COMMIT and removes the transaction from the active table.
   /// The caller is responsible for releasing its locks afterwards (strict

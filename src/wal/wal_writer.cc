@@ -191,7 +191,7 @@ void GroupCommitWriter::Run() {
 
     const Lsn prev = durable_lsn();
     // The batch this one flush made durable — the group-commit win.
-    MORPH_HISTOGRAM_NANOS("wal.group_commit.batch_size",
+    MORPH_HISTOGRAM_VALUE("wal.group_commit.batch_size",
                           static_cast<int64_t>(target - prev));
     MORPH_COUNTER_INC("wal.group_commit.flushes");
     {

@@ -796,9 +796,11 @@ void RunDurableCrashCell(const Scenario& sc, const std::string& site) {
       // The first few commits land before the crash is armed, so every cell
       // has a non-empty durable committed-set to check for survival.
       if (i == 10) fps.Crash(site);
-      auto t = db.Begin();
+      engine::TxnPtr t;
       bool updated = false;
       try {
+        // BEGIN is a WAL append too, so it can cross the site as well.
+        t = db.Begin();
         updated = db.Update(t, sources[sc.writer_table].get(),
                             Row({sc.writer_keys[i]}),
                             {{sc.writer_column, new_value}})
@@ -815,7 +817,12 @@ void RunDurableCrashCell(const Scenario& sc, const std::string& site) {
         // finished coordinator and clears the hook. Ending the loop here is
         // only right when no coordinator is left to get out of the way
         // (its gate was left up by a simulated death).
-        (void)db.Abort(t);
+        try {
+          (void)db.Abort(t);
+        } catch (const CrashException&) {
+          crashed = true;  // died writing the rollback: the txn never committed
+          break;
+        }
         if (coord_done) break;
         continue;
       }

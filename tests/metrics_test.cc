@@ -161,15 +161,15 @@ TEST(GaugeTest, SetAndMax) {
 
 TEST(HistogramTest, CountSumAndQuantileBuckets) {
   Histogram h;
-  EXPECT_EQ(h.QuantileNanos(0.5), 0u);  // empty
+  EXPECT_EQ(h.Quantile(0.5), 0u);  // empty
   // 90 samples at ~1us, 10 at ~1ms: p50 must land in the microsecond
   // bucket, p99 in the millisecond bucket.
-  for (int i = 0; i < 90; ++i) h.RecordNanos(1'000);
-  for (int i = 0; i < 10; ++i) h.RecordNanos(1'000'000);
+  for (int i = 0; i < 90; ++i) h.Record(1'000);
+  for (int i = 0; i < 10; ++i) h.Record(1'000'000);
   EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.sum_nanos(), 90u * 1'000 + 10u * 1'000'000);
-  const uint64_t p50 = h.QuantileNanos(0.5);
-  const uint64_t p99 = h.QuantileNanos(0.99);
+  EXPECT_EQ(h.sum(), 90u * 1'000 + 10u * 1'000'000);
+  const uint64_t p50 = h.Quantile(0.5);
+  const uint64_t p99 = h.Quantile(0.99);
   // Bucket upper bounds are powers of two: ~1us rounds into (512, 1024]
   // ...(1024, 2048]; assert the right order of magnitude, not exact bins.
   EXPECT_GE(p50, 1'000u);
@@ -179,14 +179,14 @@ TEST(HistogramTest, CountSumAndQuantileBuckets) {
   EXPECT_LE(p50, p99);
   h.Reset();
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum_nanos(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
 }
 
 TEST(HistogramTest, NegativeClampsToZeroBucket) {
   Histogram h;
-  h.RecordNanos(-5);
+  h.Record(-5);
   EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.sum_nanos(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
   EXPECT_EQ(h.bucket(0), 1u);
 }
 
@@ -197,7 +197,7 @@ TEST(HistogramTest, ConcurrentRecordersSumConsistently) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&h] {
-      for (int i = 0; i < kPerThread; ++i) h.RecordNanos(100 + i % 1000);
+      for (int i = 0; i < kPerThread; ++i) h.Record(100 + i % 1000);
     });
   }
   for (auto& t : threads) t.join();
@@ -247,7 +247,7 @@ TEST(RegistryTest, ResetAllZeroesValuesButKeepsInstruments) {
   Histogram* h = reg.GetHistogram("test.resetall.hist");
   c->Add(10);
   g->Set(20);
-  h->RecordNanos(30);
+  h->Record(30);
   reg.ResetAll();
   // Same pointers, zeroed values — callers holding cached pointers (the
   // hot-path macros) keep working across a modelled restart.
@@ -274,7 +274,7 @@ TEST(RegistryTest, DumpJsonIsWellFormed) {
   // Exercise all three sections plus a name needing escaping.
   reg.GetCounter("test.json.counter\"quoted\\name")->Add(1);
   reg.GetGauge("test.json.gauge")->Set(-5);
-  reg.GetHistogram("test.json.hist")->RecordNanos(1'000'000);
+  reg.GetHistogram("test.json.hist_nanos")->Record(1'000'000);
   const std::string json = metrics::DumpJson();
   JsonChecker checker(json);
   EXPECT_TRUE(checker.Valid()) << json;
@@ -282,6 +282,19 @@ TEST(RegistryTest, DumpJsonIsWellFormed) {
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"p99_nanos\""), std::string::npos);
+}
+
+TEST(RegistryTest, ValueHistogramDumpsWithoutNanosLabels) {
+  Registry& reg = Registry::Instance();
+  MORPH_HISTOGRAM_VALUE("test.json.value_hist", 256);
+  EXPECT_GE(reg.GetHistogram("test.json.value_hist")->count(), 1u);
+  const std::string json = metrics::DumpJson();
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  const size_t at = json.find("\"test.json.value_hist\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::string entry = json.substr(at, json.find('}', at) - at);
+  EXPECT_NE(entry.find("\"p50\""), std::string::npos) << entry;
+  EXPECT_EQ(entry.find("_nanos"), std::string::npos) << entry;
 }
 
 TEST(RegistryTest, ConcurrentLookupsAndIncrements) {
@@ -377,6 +390,62 @@ TEST(TraceTest, SnapshotWhileAnotherThreadRecords) {
   stop.store(true, std::memory_order_release);
   writer.join();
   EXPECT_GT(trace::Traces::Instance().TotalRecorded(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Population stage timers: a serial populate's scan / operator / insert
+// stages account for its wall time, so the per-stage cost model adds up.
+// ---------------------------------------------------------------------------
+
+TEST(PopulateStageTest, SerialFojStagesSumToPopulateTime) {
+  engine::Database db;
+  auto r = *db.CreateTable("r", morph::testing::RSchema());
+  auto s = *db.CreateTable("s", morph::testing::SSchema());
+  // Every R row finds its S partner; 500 S rows are padded.
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 30'000; ++i) {
+    rows.push_back(Row({i, i % 12'000, "p"}));
+  }
+  ASSERT_TRUE(db.BulkLoad(r.get(), rows).ok());
+  rows.clear();
+  for (int64_t i = 0; i < 12'500; ++i) rows.push_back(Row({i, i, "i"}));
+  ASSERT_TRUE(db.BulkLoad(s.get(), rows).ok());
+
+  transform::FojSpec spec;
+  spec.r_table = "r";
+  spec.s_table = "s";
+  spec.r_join_column = "jv";
+  spec.s_join_column = "jv";
+  spec.target_table = "t";
+  auto rules = transform::FojRules::Make(&db, spec);
+  ASSERT_TRUE(rules.ok());
+  transform::TransformConfig config;
+  ASSERT_EQ(config.populate_workers, 0u);
+  ASSERT_EQ(config.priority, 1.0);  // no throttle sleep inside populate
+  transform::TransformCoordinator coord(
+      &db, std::shared_ptr<transform::FojRules>(std::move(rules).ValueOrDie()),
+      config);
+
+  auto& reg = Registry::Instance();
+  const char* kStages[] = {"transform.populate.stage.scan_nanos",
+                           "transform.populate.stage.operator_nanos",
+                           "transform.populate.stage.insert_nanos"};
+  uint64_t before[3];
+  for (int i = 0; i < 3; ++i) before[i] = reg.CounterValue(kStages[i]);
+  auto stats = coord.Run();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_TRUE(stats->completed) << stats->abort_reason;
+
+  double sum = 0;
+  for (int i = 0; i < 3; ++i) {
+    const uint64_t delta = reg.CounterValue(kStages[i]) - before[i];
+    EXPECT_GT(delta, 0u) << kStages[i];
+    sum += static_cast<double>(delta);
+  }
+  const double populate = static_cast<double>(stats->populate_micros) * 1e3;
+  ASSERT_GT(populate, 0);
+  EXPECT_NEAR(sum, populate, 0.10 * populate)
+      << "stages " << sum << " ns vs populate " << populate << " ns";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "storage/catalog.h"
 #include "storage/table.h"
@@ -173,6 +176,17 @@ TEST(IndexTest, AddIsDeduplicating) {
   idx.Remove(Row({1}), Row({11}));
   EXPECT_EQ(idx.Count(Row({1})), 0u);
   EXPECT_TRUE(idx.Lookup(Row({1})).empty());
+}
+
+TEST(IndexTest, AddBatchDeduplicatesStoredAndInBatchPairs) {
+  SecondaryIndex idx("i", {1});
+  idx.Add(Row({"k1"}), Row({1}));
+  idx.AddBatch({Row({"k1"}), Row({"k1"}), Row({"k2"}), Row({"k2"})},
+               {Row({1}), Row({2}), Row({1}), Row({1})});
+  EXPECT_EQ(morph::testing::Sorted(idx.Lookup(Row({"k1"}))),
+            (std::vector<Row>{Row({1}), Row({2})}));
+  EXPECT_EQ(idx.Lookup(Row({"k2"})), std::vector<Row>{Row({1})});
+  EXPECT_EQ(idx.num_entries(), 3u);
 }
 
 // --- NULL keys in index (padding records) -------------------------------------------------
@@ -413,6 +427,130 @@ TEST(TableBatchTest, UpsertBatchLsnGatedNewestWinsAndReindexes) {
   EXPECT_EQ(idx->Count(Row({"old"})), 0u);  // replaced image de-indexed
   EXPECT_EQ(idx->Count(Row({"new"})), 1u);
   EXPECT_EQ(idx->Count(Row({"newest"})), 1u);
+}
+
+TEST(TableBatchTest, InBatchDuplicatesAcrossShardsFirstWins) {
+  Table t(1, "t", TwoColSchema(), /*num_shards=*/4);
+  Table reference(2, "ref", TwoColSchema(), /*num_shards=*/4);
+  ASSERT_TRUE(t.CreateIndex("by_val", {"val"}).ok());
+  ASSERT_TRUE(t.Insert(Rec(7, "stored")).ok());
+  ASSERT_TRUE(reference.Insert(Rec(7, "stored")).ok());
+  // Keys 0..15 land in every shard; each appears twice, the copies apart
+  // in the batch, and key 7 is also stored already.
+  std::vector<Record> batch;
+  for (int64_t i = 0; i < 16; ++i) batch.push_back(Rec(i, "first"));
+  for (int64_t i = 15; i >= 0; --i) batch.push_back(Rec(i, "second"));
+  // The counts a loop of Insert calls ignoring AlreadyExists produces.
+  size_t inserted = 0, skipped = 0;
+  for (const Record& rec : batch) {
+    const Status st = reference.Insert(rec);
+    ASSERT_TRUE(st.ok() || st.IsAlreadyExists()) << st.ToString();
+    (st.ok() ? inserted : skipped)++;
+  }
+  auto stats = t.InsertBatch(std::move(batch));
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->inserted, inserted);
+  EXPECT_EQ(stats->skipped, skipped);
+  EXPECT_EQ(stats->replaced, 0u);
+  EXPECT_EQ(stats->inserted, 15u);
+  EXPECT_EQ(stats->skipped, 17u);
+  EXPECT_EQ(morph::testing::SortedRows(t),
+            morph::testing::SortedRows(reference));
+  // Only the stored records are indexed: no loser left an entry behind.
+  SecondaryIndex* idx = t.GetIndex("by_val");
+  EXPECT_EQ(idx->Count(Row({"first"})), 15u);
+  EXPECT_EQ(idx->Count(Row({"second"})), 0u);
+  EXPECT_EQ(idx->Lookup(Row({"stored"})), std::vector<Row>{Row({7})});
+  EXPECT_EQ(idx->num_entries(), t.size());
+}
+
+TEST(TableBatchTest, ReserveLeavesContentsAndLookupsUnchanged) {
+  auto fill = [](Table* t) {
+    ASSERT_TRUE(t->Insert(Rec(1000, "v0")).ok());
+    for (int64_t b = 0; b < 4; ++b) {
+      std::vector<Record> batch;
+      for (int64_t i = b * 100; i < (b + 1) * 100; ++i) {
+        batch.push_back(Rec(i, "v" + std::to_string(i % 7), i + 1));
+      }
+      ASSERT_TRUE(t->InsertBatch(std::move(batch)).ok());
+    }
+  };
+  Table plain(1, "plain", TwoColSchema());
+  Table before(2, "before", TwoColSchema());
+  Table after(3, "after", TwoColSchema());
+  for (Table* t : {&plain, &before, &after}) {
+    ASSERT_TRUE(t->CreateIndex("by_val", {"val"}).ok());
+  }
+  before.Reserve(10'000);
+  fill(&plain);
+  fill(&before);
+  fill(&after);
+  after.Reserve(10'000);
+  after.Reserve(1);  // a smaller hint shrinks nothing
+  const std::vector<Row> expected = morph::testing::SortedRows(plain);
+  ASSERT_EQ(expected.size(), 401u);
+  for (Table* t : {&before, &after}) {
+    EXPECT_EQ(morph::testing::SortedRows(*t), expected) << t->name();
+    for (int64_t v = 0; v < 7; ++v) {
+      const Row key({"v" + std::to_string(v)});
+      EXPECT_EQ(morph::testing::Sorted(t->GetIndex("by_val")->Lookup(key)),
+                morph::testing::Sorted(plain.GetIndex("by_val")->Lookup(key)))
+          << t->name() << " " << key.ToString();
+    }
+    EXPECT_EQ(t->GetIndex("by_val")->num_entries(), t->size());
+    for (int64_t i = 0; i < 400; ++i) {
+      EXPECT_EQ(t->Get(Row({i}))->lsn, static_cast<Lsn>(i + 1));
+    }
+  }
+}
+
+// Indexes created while batches stream in: every record is indexed exactly
+// once in each, whether the backfill scan saw it or the batch that stored
+// it did. A creation that lands between a batch's index snapshot and its
+// shard pass is the case the batch must repair; the pre-existing index
+// makes that window as long as the batch's key extraction.
+TEST(TableBatchTest, CreateIndexRacingInsertBatchIndexesEveryRecord) {
+  constexpr int kWriters = 2;
+  constexpr int kIndexes = 4;
+  constexpr int64_t kBatchSize = 256;
+  constexpr int64_t kMaxBatches = 200;  // per writer
+  for (int round = 0; round < 5; ++round) {
+    Table t(1, "t", TwoColSchema(), /*num_shards=*/8);
+    ASSERT_TRUE(t.CreateIndex("existing", {"val"}).ok());
+    std::atomic<bool> stop{false};
+    std::atomic<int64_t> done{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        for (int64_t b = 0; b < kMaxBatches && !stop.load(); ++b) {
+          std::vector<Record> batch;
+          const int64_t first = (w * kMaxBatches + b) * kBatchSize;
+          for (int64_t i = first; i < first + kBatchSize; ++i) {
+            batch.push_back(Rec(i, "v" + std::to_string(i)));
+          }
+          EXPECT_TRUE(t.InsertBatch(std::move(batch)).ok());
+          done.fetch_add(1);
+        }
+      });
+    }
+    while (done.load() < 2 + round) std::this_thread::yield();
+    for (int k = 0; k < kIndexes; ++k) {
+      ASSERT_TRUE(t.CreateIndex("new_" + std::to_string(k), {"val"}).ok());
+    }
+    stop.store(true);
+    for (auto& w : writers) w.join();
+
+    for (int k = 0; k < kIndexes; ++k) {
+      SecondaryIndex* idx = t.GetIndex("new_" + std::to_string(k));
+      EXPECT_EQ(idx->num_entries(), t.size()) << "round " << round;
+      size_t missing = 0;
+      t.ForEach([&](const Record& rec) {
+        const std::vector<Row> pks = idx->Lookup(idx->KeyOf(rec.row));
+        missing += pks != std::vector<Row>{Row({rec.row[0]})};
+      });
+      EXPECT_EQ(missing, 0u) << idx->name() << ", round " << round;
+    }
+  }
 }
 
 TEST(TableSnapshotShardTest, ShardsAreDisjointAndCoverTable) {

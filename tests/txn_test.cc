@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "txn/lock_manager.h"
 #include "txn/transform_locks.h"
@@ -280,13 +282,65 @@ TEST(TxnManagerTest, SnapshotTracksOldestActive) {
 TEST(TxnManagerTest, ActiveBeforeFiltersOnEpoch) {
   wal::Wal wal;
   TransactionManager tm(&wal);
-  auto t1 = tm.Begin(/*epoch=*/0);
-  auto t2 = tm.Begin(/*epoch=*/1);
+  std::atomic<TxnEpoch> epoch{0};
+  auto t1 = tm.Begin(&epoch);
+  epoch.store(1);
+  auto t2 = tm.Begin(&epoch);
   EXPECT_EQ(tm.ActiveBefore(1).size(), 1u);
   EXPECT_EQ(tm.ActiveBefore(1)[0]->id(), t1->id());
   EXPECT_EQ(tm.ActiveBefore(2).size(), 2u);
   EXPECT_EQ(tm.ActiveBefore(0).size(), 0u);
   (void)t2;
+}
+
+// Begins racing epoch advances: whichever epoch a transaction reads, a
+// switch-over that advanced past it and then scanned ActiveBefore must see
+// it — otherwise the drain stops waiting for a transaction that still runs
+// with a pre-switch epoch.
+TEST(TxnManagerTest, BeginRacingEpochAdvanceIsSeenByActiveBefore) {
+  wal::Wal wal;
+  TransactionManager tm(&wal);
+  std::atomic<TxnEpoch> epoch{0};
+  constexpr int kBeginners = 3;
+  constexpr int kBeginsEach = 2'000;
+  std::atomic<bool> go{false};
+  std::atomic<int> running{kBeginners};
+  std::vector<std::vector<std::shared_ptr<Transaction>>> begun(kBeginners);
+  std::vector<std::thread> threads;
+  for (int b = 0; b < kBeginners; ++b) {
+    threads.emplace_back([&, b] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kBeginsEach; ++i) {
+        begun[b].push_back(tm.Begin(&epoch));
+      }
+      running.fetch_sub(1);
+    });
+  }
+  // Nothing commits, so ActiveBefore(N) can only miss a transaction with
+  // epoch < N, never add one: comparing its size at scan time with the
+  // final count of such transactions checks set equality.
+  struct Scan {
+    TxnEpoch epoch;
+    size_t seen;
+  };
+  std::vector<Scan> scans;
+  go.store(true);
+  while (running.load() > 0) {
+    const TxnEpoch advanced = epoch.fetch_add(1) + 1;
+    scans.push_back({advanced, tm.ActiveBefore(advanced).size()});
+  }
+  for (auto& t : threads) t.join();
+
+  ASSERT_FALSE(scans.empty());
+  for (const Scan& scan : scans) {
+    size_t below = 0;
+    for (const auto& thread_txns : begun) {
+      for (const auto& t : thread_txns) below += t->epoch() < scan.epoch;
+    }
+    ASSERT_EQ(scan.seen, below)
+        << "a transaction with epoch < " << scan.epoch
+        << " registered after ActiveBefore(" << scan.epoch << ") ran";
+  }
 }
 
 TEST(TxnManagerTest, FindLocatesActiveOnly) {
