@@ -32,22 +32,7 @@ TransformCoordinator::TransformCoordinator(engine::Database* db,
       priority_(config.priority),
       tlocks_(config.target_lock_wait_micros) {
   PropagatorConfig pc;
-  if (config_.propagate_workers == TransformConfig::kAutoWorkers) {
-    // Adaptive (`auto`): the parallel mode's width comes from the host —
-    // leave one core for the reader, keep the fan-out modest — and the
-    // controller decides batch-by-batch whether running it beats serial.
-    const size_t hw = std::thread::hardware_concurrency();
-    pc.workers = std::clamp<size_t>(hw > 1 ? hw - 1 : 2, 2, 8);
-    pc.adaptive = true;
-    pc.handoff = PropagatorHandoff::kRing;
-  } else {
-    pc.workers = config_.propagate_workers;
-    pc.handoff = config_.propagate_handoff;
-  }
   pc.batch_size = config_.batch_size;
-  pc.queue_capacity = config_.propagate_queue_capacity
-                          ? config_.propagate_queue_capacity
-                          : 2 * config_.batch_size;
   pc.maintain_locks = config_.maintain_locks;
   propagator_ = std::make_unique<LogPropagator>(db_->wal(), rules_.get(),
                                                 &tlocks_, &priority_, pc);
@@ -152,9 +137,8 @@ Lsn TransformCoordinator::AppendFuzzyMark(bool begin, int64_t populate_micros) {
 
 Status TransformCoordinator::PropagateTo(Lsn end, bool throttled,
                                          TransformStats* stats) {
-  // Record handling lives in LogPropagator (transform/propagator.h); the
-  // serial (propagate_workers == 0) configuration runs the identical
-  // pipeline with one inline worker on this thread.
+  // Record handling lives in LogPropagator (transform/propagator.h), a
+  // serial loop on this thread.
   const Lsn from = next_lsn_.load(std::memory_order_acquire);
   if (end < from) return Status::OK();
   std::function<bool()> cancel;
@@ -189,27 +173,9 @@ Status TransformCoordinator::PropagateTabletPass(size_t k, Lsn from, Lsn to,
 }
 
 void TransformCoordinator::FillPropagationStats(TransformStats* stats) const {
-  // Pure snapshot of the pipeline's atomic instruments — safe on every
-  // Run() exit path including abort: worker counters are relaxed atomics
-  // (see LogPropagator::worker_stats) and PropagateRange drains the
-  // workers before returning on all paths, so nothing here depends on
-  // join-before-snapshot ordering.
+  // Pure snapshot of the propagator's atomic instruments — safe on every
+  // Run() exit path including abort.
   stats->ops_propagated = propagator_->ops_applied();
-  stats->propagate_workers = propagator_->num_workers();
-  stats->propagate_handoff =
-      propagator_->num_workers() == 0
-          ? "serial"
-          : (propagator_->handoff_kind() == PropagatorHandoff::kRing ? "ring"
-                                                                     : "mutex");
-  if (const AdaptiveController* ac = propagator_->adaptive()) {
-    stats->adaptive_probe_windows = ac->probe_windows();
-    stats->adaptive_collapses = ac->collapses();
-    stats->adaptive_expansions = ac->expansions();
-  }
-  stats->worker_ops.clear();
-  for (const PropagatorWorkerStats& ws : propagator_->worker_stats()) {
-    stats->worker_ops.push_back(ws.ops_applied);
-  }
   if (stats->propagate_micros > 0) {
     stats->propagate_records_per_sec =
         static_cast<double>(stats->log_records_processed) /

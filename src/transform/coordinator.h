@@ -89,24 +89,6 @@ struct TransformConfig {
   bool continuous = false;
   /// How long a post-switch transaction waits for a mirrored source lock.
   int64_t target_lock_wait_micros = 2'000'000;
-  /// Sentinel for propagate_workers: adaptive worker scaling. The
-  /// propagator measures serial vs parallel records/sec on the live
-  /// workload and runs whichever wins, re-probing periodically
-  /// (transform/adaptive.h) — never slower than serial beyond a few
-  /// percent of probing, which is the safe default on unknown hosts.
-  static constexpr size_t kAutoWorkers = static_cast<size_t>(-1);
-  /// Parallel log-propagation workers (see transform/propagator.h). 0 =
-  /// serial: the same pipeline code runs with one inline worker on the
-  /// coordinator thread. Ops are partitioned across workers by the
-  /// operator's RoutingKey, so any value preserves per-record LSN order.
-  /// kAutoWorkers = adaptive (see above).
-  size_t propagate_workers = 0;
-  /// Bounded per-worker queue capacity, in records. 0 = 2 * batch_size.
-  size_t propagate_queue_capacity = 0;
-  /// Reader→worker handoff mechanism: lock-free SPSC rings (the default)
-  /// or the original mutex-guarded deques (kept as the differential-test
-  /// reference and bench baseline).
-  PropagatorHandoff propagate_handoff = PropagatorHandoff::kRing;
   /// Parallel initial-population workers (see transform/populate.h). 0 =
   /// serial: the same pipeline code runs inline on the coordinator thread.
   /// Scan work is partitioned by storage shard and operator build state by
@@ -129,13 +111,12 @@ struct TransformConfig {
 
 /// \brief Per-run statistics returned by TransformCoordinator::Run().
 ///
-/// A *view over the pipeline's atomic instruments*: every counter here is a
+/// A *view over the transform's atomic instruments*: every counter here is a
 /// snapshot of the same relaxed atomics that feed the process-wide metrics
 /// registry (`transform.propagate.*` counters, `transform.backlog` /
 /// `transform.priority.*` gauges — see docs/ARCHITECTURE.md "Observability"),
-/// so the serial and parallel propagation paths report through one
-/// mechanism and the registry's process-cumulative counters can be
-/// reconciled against per-run stats by delta.
+/// so the registry's process-cumulative counters can be reconciled against
+/// per-run stats by delta.
 struct TransformStats {
   bool completed = false;
   /// Why the transformation aborted (empty when completed).
@@ -166,20 +147,6 @@ struct TransformStats {
   /// `transform.priority.achieved_ppm` gauge.
   double achieved_duty = 1.0;
 
-  /// Parallel-propagation shape: *resolved* worker count (what the pipeline
-  /// actually spawned — equals the configured value for fixed configs, the
-  /// chosen parallel width for kAutoWorkers) and per-worker ops applied
-  /// (entry 0 is the reader's inline worker — all ops when serial, barrier
-  /// ops when parallel — followed by one entry per queue worker).
-  size_t propagate_workers = 0;
-  std::vector<size_t> worker_ops;
-  /// Handoff mechanism the run used: "serial", "mutex" or "ring".
-  std::string propagate_handoff;
-  /// Adaptive mode (propagate_workers = kAutoWorkers): probe windows
-  /// completed and parallel→serial / serial→parallel switches decided.
-  size_t adaptive_probe_windows = 0;
-  size_t adaptive_collapses = 0;
-  size_t adaptive_expansions = 0;
   /// Log records processed per second of wall-clock propagation time.
   double propagate_records_per_sec = 0.0;
 
@@ -282,25 +249,18 @@ class TransformCoordinator : public engine::TransformHook {
   /// \brief Everything below this LSN has been propagated (or predates the
   /// transformation). Log-archiving housekeeping must not truncate at or
   /// beyond the returned LSN. kInvalidLsn until propagation has started.
-  ///
-  /// With parallel workers this is the min-across-workers watermark: the
-  /// reader's position capped by the lowest LSN still queued or in flight
-  /// on any worker, so Wal::TruncateBefore safety is preserved while ops
-  /// are buffered.
+  /// The propagator applies each batch before it advances the cursor, so
+  /// the cursor itself is the watermark.
   Lsn propagated_lsn() const {
     const Lsn next = next_lsn_.load(std::memory_order_acquire);
-    if (next == kInvalidLsn) return kInvalidLsn;
-    Lsn floor = std::min(next, propagator_->FloorLsn());
-    if (!stagger_->AllActivated()) {
-      // The global cursor races ahead of tablets that have not been
-      // populated yet; their local catch-up passes re-read the log from
-      // their own begin-fuzzy floors, none below the first tablet's
-      // (retention_floor_), so truncation must hold there until every
-      // tablet is active. The floor is fixed once and only ever replaced
-      // by the larger live watermark, so the pin stays monotone.
-      floor = std::min(floor, retention_floor_.load(std::memory_order_acquire));
-    }
-    return floor;
+    if (next == kInvalidLsn || stagger_->AllActivated()) return next;
+    // The global cursor races ahead of tablets that have not been
+    // populated yet; their local catch-up passes re-read the log from
+    // their own begin-fuzzy floors, none below the first tablet's
+    // (retention_floor_), so truncation must hold there until every
+    // tablet is active. The floor is fixed once and only ever replaced by
+    // the larger live watermark, so the pin stays monotone.
+    return std::min(next, retention_floor_.load(std::memory_order_acquire));
   }
 
   /// The tablet state (never null; one tablet when the run covers the whole
@@ -318,7 +278,7 @@ class TransformCoordinator : public engine::TransformHook {
   void OnTxnFinished(TxnId txn, txn::TxnEpoch epoch) override;
 
  private:
-  /// Propagates log records [next_lsn_, end] through the pipeline, adding
+  /// Propagates log records [next_lsn_, end] through the propagator, adding
   /// the count to `stats`; a no-op when the cursor is already past `end`.
   /// `throttled` applies the priority duty cycle between batches.
   Status PropagateTo(Lsn end, bool throttled, TransformStats* stats);
@@ -327,7 +287,7 @@ class TransformCoordinator : public engine::TransformHook {
   /// restores the global filter. A no-op when `to` < `from`.
   Status PropagateTabletPass(size_t k, Lsn from, Lsn to,
                              TransformStats* stats);
-  /// Copies pipeline counters (ops, per-worker shape, throughput) into
+  /// Copies propagation counters (ops, throughput, achieved duty) into
   /// `stats` on every Run() exit path.
   void FillPropagationStats(TransformStats* stats) const;
   /// Appends a fuzzy mark carrying the active-transaction table (§3.2) and
@@ -429,9 +389,7 @@ class TransformCoordinator : public engine::TransformHook {
   TableIdSet source_set_;
   TableIdSet target_set_;
 
-  /// The propagation pipeline. Declared last: its destructor joins the
-  /// worker threads, which touch rules_/tlocks_/priority_, so it must be
-  /// destroyed before any of them.
+  /// The §3.3 log propagator; holds pointers to rules_/tlocks_/priority_.
   std::unique_ptr<LogPropagator> propagator_;
 };
 

@@ -641,31 +641,6 @@ Status FojRules::UpdateS(const Op& op, std::vector<txn::RecordId>* affected) {
 
 // --- lock mirroring / lifecycle -----------------------------------------------
 
-RouteKey FojRules::RoutingKey(const Op& op) const {
-  // An insert's entire effect set is "T-records whose join value (on either
-  // side) equals the inserted row's": the fan-out walks LookupJoin(x) and
-  // the only record it may create or replace is keyed within that set. Two
-  // inserts with different join values therefore commute, and two inserts
-  // with the same value serialize on one worker — rule 1/2 order preserved.
-  //
-  // Deletes and updates are barriers. They identify their victims by the
-  // *source* key (rules 3/4/6/7 delete every T-record containing y), may
-  // re-create the partner side's padding record — whose T primary key can
-  // collide with a padding record a concurrent insert of a *different* join
-  // value is about to upgrade — and a join-attribute update touches two
-  // join values at once. Serializing them keeps every order assumption of
-  // rules 1–7 intact; insert-dominated workloads (the common case for a
-  // growing table) still parallelize fully.
-  if (op.type == OpType::kInsert) {
-    const size_t join_idx =
-        op.table_id == r_->id() ? r_join_idx_ : s_join_idx_;
-    if (join_idx < op.after.size()) {
-      return RouteKey::Of(Row({op.after[join_idx]}));
-    }
-  }
-  return RouteKey::Barrier();
-}
-
 std::vector<txn::RecordId> FojRules::AffectedTargets(TableId table,
                                                      const Row& pk) {
   std::vector<Row> pks;

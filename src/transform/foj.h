@@ -61,7 +61,6 @@ class FojRules : public OperatorRules {
   Status Prepare() override;
   Status InitialPopulate() override;
   Status Apply(const Op& op, std::vector<txn::RecordId>* affected) override;
-  RouteKey RoutingKey(const Op& op) const override;
   std::vector<txn::RecordId> AffectedTargets(TableId table,
                                              const Row& pk) override;
   std::vector<std::shared_ptr<storage::Table>> Targets() const override {
@@ -168,7 +167,7 @@ class FojRules : public OperatorRules {
   storage::SecondaryIndex* idx_rjoin_ = nullptr;
   storage::SecondaryIndex* idx_sjoin_ = nullptr;
 
-  /// Bumped from concurrent propagation workers; counters() snapshots.
+  /// Bumped by Apply; counters() snapshots from any thread.
   struct {
     std::atomic<size_t> ops_applied{0};
     std::atomic<size_t> ops_ignored{0};

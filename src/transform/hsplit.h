@@ -74,13 +74,6 @@ class HorizontalSplitRules : public OperatorRules {
   Status InitialPopulate() override;
   Status Apply(const Op& op, std::vector<txn::RecordId>* affected) override;
 
-  /// Both targets are keyed by T's primary key and every rule (including a
-  /// predicate-flipping migration's delete + insert pair) touches only
-  /// records with the op's own key, so per-T-key LSN order is sufficient.
-  RouteKey RoutingKey(const Op& op) const override {
-    return RouteKey::Of(op.key);
-  }
-
   std::vector<txn::RecordId> AffectedTargets(TableId table,
                                              const Row& pk) override;
   std::vector<std::shared_ptr<storage::Table>> Targets() const override {
@@ -91,8 +84,9 @@ class HorizontalSplitRules : public OperatorRules {
   }
   Status DropTargets() override;
 
-  /// Targets are verbatim T-keyed copies: every rule touches only records
-  /// with the op's own key (see RoutingKey), and both sides preserve the
+  /// Targets are verbatim T-keyed copies: every rule (including a
+  /// predicate-flipping migration's delete + insert pair) touches only
+  /// records with the op's own key, and both sides preserve the
   /// source primary key, so the operator decomposes by hash-range tablet
   /// and both targets stay tablet-aligned.
   bool SupportsStaggeredTablets() const override { return true; }
@@ -130,7 +124,7 @@ class HorizontalSplitRules : public OperatorRules {
   std::shared_ptr<storage::Table> s_;
   size_t pred_col_ = 0;
 
-  /// Bumped from concurrent propagation workers; counters() snapshots.
+  /// Bumped by Apply; counters() snapshots from any thread.
   struct {
     std::atomic<size_t> ops_applied{0};
     std::atomic<size_t> ops_ignored{0};

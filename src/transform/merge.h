@@ -47,12 +47,6 @@ class MergeRules : public OperatorRules {
   Status InitialPopulate() override;
   Status Apply(const Op& op, std::vector<txn::RecordId>* affected) override;
 
-  /// T is keyed by the sources' (disjoint) primary keys and every rule is
-  /// an LSN-gated redo against T[k] only, so per-key LSN order suffices.
-  RouteKey RoutingKey(const Op& op) const override {
-    return RouteKey::Of(op.key);
-  }
-
   std::vector<txn::RecordId> AffectedTargets(TableId table,
                                              const Row& pk) override;
   std::vector<std::shared_ptr<storage::Table>> Targets() const override {
@@ -91,7 +85,7 @@ class MergeRules : public OperatorRules {
   std::shared_ptr<storage::Table> s_;
   std::shared_ptr<storage::Table> t_;
 
-  /// Bumped from concurrent propagation workers; counters() snapshots.
+  /// Bumped by Apply; counters() snapshots from any thread.
   struct {
     std::atomic<size_t> ops_applied{0};
     std::atomic<size_t> ops_ignored{0};

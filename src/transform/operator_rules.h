@@ -13,28 +13,6 @@
 
 namespace morph::transform {
 
-/// \brief Partition routing for the parallel log propagator (see
-/// transform/propagator.h): where an op may execute relative to other ops.
-///
-/// Two ops whose routing keys compare equal are guaranteed to be applied in
-/// LSN order on the same worker; ops with different keys may run
-/// concurrently and in any relative order. A *barrier* op waits until every
-/// worker has drained all lower-LSN ops, then runs alone on the reader
-/// thread — it serializes against everything, which is always safe.
-struct RouteKey {
-  enum class Kind : uint8_t {
-    kBarrier,  ///< serialize against all in-flight ops (the safe default)
-    kKey,      ///< serialize only against ops with an equal key
-  };
-  Kind kind = Kind::kBarrier;
-  Row key;
-
-  static RouteKey Barrier() { return RouteKey{}; }
-  static RouteKey Of(Row k) {
-    return RouteKey{Kind::kKey, std::move(k)};
-  }
-};
-
 /// \brief The operator-specific half of a transformation, plugged into the
 /// generic four-step TransformCoordinator (paper §3).
 ///
@@ -45,17 +23,14 @@ struct RouteKey {
 /// coordinator thread; InitialPopulate may internally fan out across
 /// population workers (transform/populate.h) — any threads it spawns are
 /// joined, and their failures funneled, before it returns, so to the
-/// coordinator it remains one synchronous call. Apply is called from the
-/// propagator's worker threads
-/// — concurrently for ops whose RoutingKey()s differ, in LSN order from one
-/// thread for ops whose keys are equal (propagate_workers = 0 degenerates
-/// to all ops on the coordinator thread). OnControlRecord and
-/// RunConsistencyCheck run on the coordinator thread only after every
-/// worker has drained (barrier), never concurrently with Apply.
-/// AffectedTargets may additionally be called from client threads
-/// (synchronous lock mirroring under non-blocking commit); it and Apply
-/// must only use thread-safe table/index operations, and any rule-internal
-/// state they touch (counters, CC bookkeeping) must be synchronized.
+/// coordinator it remains one synchronous call. Apply, OnControlRecord and
+/// RunConsistencyCheck run on the coordinator thread only, one at a time,
+/// in log order (the propagator is one serial loop, §3.3). AffectedTargets
+/// may additionally be called from client threads (synchronous lock
+/// mirroring under non-blocking commit), concurrently with Apply; both must
+/// therefore only use thread-safe table/index operations, and any
+/// rule-internal state they touch (counters, CC bookkeeping) must be
+/// synchronized.
 class OperatorRules {
  public:
   virtual ~OperatorRules() = default;
@@ -81,21 +56,6 @@ class OperatorRules {
   /// transformed-table record it touched (or found already reflecting the
   /// op) — the coordinator mirrors source locks onto exactly these.
   virtual Status Apply(const Op& op, std::vector<txn::RecordId>* affected) = 0;
-
-  /// \brief Chooses the partition routing for `op` (parallel propagation).
-  ///
-  /// The invariant implementations must uphold: **any two ops that can read
-  /// or write the same transformed-table record must map to equal routing
-  /// keys** — they then reach the same worker and apply in LSN order, which
-  /// is all that rules 1–11 and the Theorem-1 idempotency argument assume.
-  /// Ops whose effects are confined to disjoint record sets may return
-  /// different keys and run in any order. When in doubt, return a barrier:
-  /// it is always correct, only slower. The default routes everything
-  /// through the barrier, so operators opt *in* to parallelism.
-  virtual RouteKey RoutingKey(const Op& op) const {
-    (void)op;
-    return RouteKey::Barrier();
-  }
 
   /// \brief Handles a non-data log record the coordinator does not consume
   /// itself (the split rules use this for the CC_BEGIN / CC_OK brackets).
@@ -153,8 +113,9 @@ class OperatorRules {
   /// every propagation rule is LSN-gated per target record and decomposes by
   /// source primary key (so the key's hash-range tablet fully determines
   /// which target records an op can touch). Split, hsplit, and merge
-  /// qualify; the FOJ does not — non-insert ops route through a barrier and
-  /// an insert's effect depends on join-value state across the whole table.
+  /// qualify; the FOJ does not — deletes and updates find their victims by
+  /// source key across join values, and an insert's effect depends on
+  /// join-value state across the whole table.
   /// Default: not staggerable (the coordinator clamps to one tablet).
   virtual bool SupportsStaggeredTablets() const { return false; }
 

@@ -19,11 +19,9 @@ namespace morph::transform {
 /// wall-clock time. Sleeps are capped so a priority change takes effect
 /// quickly.
 ///
-/// With the parallel propagation pipeline, the duty cycle gates the *reader
-/// stage only* (the coordinator thread scanning and dispatching log
-/// batches): apply workers merely drain what the reader admits, so
-/// throttling the reader throttles the whole pipeline regardless of worker
-/// count.
+/// Propagation is one serial loop on the coordinator thread, so the batch
+/// time it reports is all of propagation's CPU: at priority `p` the
+/// propagator uses about `p` of one core (Figure 4(d)).
 class PriorityController {
  public:
   explicit PriorityController(double priority = 1.0) { set_priority(priority); }
@@ -130,10 +128,9 @@ class PriorityController {
 
   std::atomic<double> priority_{1.0};
   /// Owed-but-unpaid sleep; only touched by the thread driving the work —
-  /// the pipeline's reader stage (the coordinator thread) during
-  /// propagation, or the populating thread during a serial initial scan.
-  /// Parallel population workers each pay into their own WorkerThrottle
-  /// debt instead; propagation apply workers never call OnWorkDone.
+  /// the coordinator thread during propagation, or the populating thread
+  /// during a serial initial scan. Parallel population workers each pay
+  /// into their own WorkerThrottle debt instead.
   double sleep_debt_nanos_ = 0;
   std::atomic<int64_t> work_nanos_total_{0};
   std::atomic<int64_t> slept_nanos_total_{0};

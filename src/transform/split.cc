@@ -286,10 +286,9 @@ Status SplitRules::BumpS(const Row& s_key, int delta, Lsn lsn,
   TouchSplitValue(s_key);
   // One atomic step against the bucket: existence check, counter bump,
   // image/LSN maintenance and removal-at-zero all happen under the shard
-  // mutex (Table::Rmw). Under parallel propagation, workers handling
-  // distinct T-keys bump the same bucket concurrently; splitting this into
-  // a Mutate plus a separate Insert (when absent) or Delete (at zero) would
-  // lose bumps landing in the window between the two steps.
+  // mutex (Table::Rmw). Splitting this into a Mutate plus a separate
+  // Insert (when absent) or Delete (at zero) would let a client thread
+  // mirroring locks (AffectedTargets) observe the bucket between the steps.
   using Action = storage::Table::RmwAction;
   return s_->Rmw(s_key, [&](storage::Record* rec, bool exists) {
     if (!exists) {

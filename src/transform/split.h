@@ -71,17 +71,6 @@ class SplitRules : public OperatorRules {
   Status InitialPopulate() override;
   Status Apply(const Op& op, std::vector<txn::RecordId>* affected) override;
 
-  /// Every rule reads and writes only the R (or P) record keyed by the op's
-  /// own T-key, plus the S bucket(s) named by that record's split value —
-  /// and all S-bucket maintenance goes through single atomic Table::Rmw /
-  /// Mutate steps (counter bumps commute; image writes are gated on the
-  /// bucket's image LSN, so max-LSN wins in any arrival order). Per-T-key
-  /// LSN order is therefore all rules 8–11 need: route by the source
-  /// primary key.
-  RouteKey RoutingKey(const Op& op) const override {
-    return RouteKey::Of(op.key);
-  }
-
   Status OnControlRecord(const wal::LogRecord& rec) override;
   std::vector<txn::RecordId> AffectedTargets(TableId table,
                                              const Row& pk) override;
@@ -96,11 +85,12 @@ class SplitRules : public OperatorRules {
   Status FinalizeTargets() override;
   bool KeepSource(TableId id) const override;
 
-  /// All rules are LSN-gated and keyed by the op's T-key (see RoutingKey),
-  /// so the split decomposes by source hash-range tablet. The S side
-  /// additionally needs the accumulate populate mode: a bucket may receive
-  /// contributions from several tablets' scans (handled in
-  /// InitialPopulate).
+  /// All rules are LSN-gated and read and write only the R (or P) record
+  /// keyed by the op's own T-key, plus the S bucket(s) named by that
+  /// record's split value, so the split decomposes by source hash-range
+  /// tablet. The S side additionally needs the accumulate populate mode: a
+  /// bucket may receive contributions from several tablets' scans (handled
+  /// in InitialPopulate).
   bool SupportsStaggeredTablets() const override { return true; }
 
   /// R is pk-preserving (tablet-aligned); S buckets aggregate keys from all
@@ -183,7 +173,7 @@ class SplitRules : public OperatorRules {
   mutable std::mutex cc_mu_;
   std::unordered_map<Row, bool, RowHasher> cc_open_;
 
-  /// Bumped from concurrent propagation workers; counters() snapshots.
+  /// Bumped by Apply; counters() snapshots from any thread.
   struct {
     std::atomic<size_t> ops_applied{0};
     std::atomic<size_t> ops_ignored{0};

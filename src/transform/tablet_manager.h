@@ -47,7 +47,7 @@ enum class TabletState : uint8_t { kPending = 0, kActive = 1, kMigrated = 2 };
 ///
 /// Thread safety: per-tablet state is all relaxed-ordered-enough atomics —
 /// transitions happen on the coordinator thread; readers are the
-/// propagation filter (coordinator + propagation workers) and the client
+/// propagation filter (coordinator thread) and the client
 /// transform hook. A tablet's sync_lsn / switch_epoch are written before
 /// its state is released to kMigrated, so any reader that observes
 /// kMigrated also observes them.

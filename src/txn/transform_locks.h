@@ -43,13 +43,12 @@ enum class Access : uint8_t { kRead = 0, kWrite = 1 };
 ///    released when the propagator processes the owner's commit/abort log
 ///    record (ReleaseTxn).
 ///
-/// Thread safety: every method takes `mu_` for its whole critical section,
-/// so the table is safe under the parallel propagation pipeline, where
-/// AddTransferred is called concurrently from N apply-worker threads (and,
-/// under non-blocking commit, from client threads running OnOp) while the
-/// reader thread calls ReleaseTxn and post-switch client threads call
+/// Thread safety: every method takes `mu_` for its whole critical section.
+/// The propagator (coordinator thread) calls AddTransferred and ReleaseTxn,
+/// concurrently with client threads running OnOp under non-blocking commit
+/// (AddTransferred) and post-switch client threads calling
 /// AcquireTarget/ReleaseTxn. AddTransferred's duplicate collapse and
-/// held_-list append are a single atomic step under `mu_`, so two workers
+/// held_-list append are a single atomic step under `mu_`, so two threads
 /// mirroring locks for the same transaction cannot tear the entry lists;
 /// ReleaseTxn wakes AcquireTarget waiters via `cv_` under the same mutex.
 class TransformLockTable {

@@ -290,43 +290,6 @@ Result<Lsn> Wal::ScanChecked(
   return last;
 }
 
-Lsn Wal::ScanInto(Lsn from, Lsn to, size_t max_records,
-                  std::vector<LogRecord>* out) const {
-  std::shared_lock lock(mu_);
-  if (records_.empty() || max_records == 0) return kInvalidLsn;
-  Lsn next = std::max(from, base_lsn_);
-  const Lsn end = std::min<Lsn>(to, base_lsn_ + records_.size() - 1);
-  if (next > end) return kInvalidLsn;
-  const Lsn stop = std::min<Lsn>(end, next + max_records - 1);
-  for (Lsn l = next; l <= stop; ++l) {
-    out->push_back(records_[l - base_lsn_]);
-  }
-  return stop;
-}
-
-Result<Lsn> Wal::ScanIntoChecked(Lsn from, Lsn to, size_t max_records,
-                                 std::vector<LogRecord>* out) const {
-  if (from == kInvalidLsn) {
-    return Status::InvalidArgument("ScanIntoChecked from kInvalidLsn");
-  }
-  std::shared_lock lock(mu_);
-  if (from < base_lsn_) {
-    MORPH_COUNTER_INC("wal.scan_gap_detected");
-    return Status::Corruption(
-        "WAL gap: scan start " + std::to_string(from) +
-        " was truncated away (log now starts at " +
-        std::to_string(base_lsn_) + ")");
-  }
-  if (records_.empty() || max_records == 0) return kInvalidLsn;
-  const Lsn end = std::min<Lsn>(to, base_lsn_ + records_.size() - 1);
-  if (from > end) return kInvalidLsn;
-  const Lsn stop = std::min<Lsn>(end, from + max_records - 1);
-  for (Lsn l = from; l <= stop; ++l) {
-    out->push_back(records_[l - base_lsn_]);
-  }
-  return stop;
-}
-
 void Wal::TruncateBefore(Lsn keep_from) {
   MORPH_FAILPOINT_VOID("wal.truncate");
   MORPH_COUNTER_INC("wal.truncates");

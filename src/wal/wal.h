@@ -156,23 +156,6 @@ class Wal {
   Result<Lsn> ScanChecked(Lsn from, Lsn to,
                           const std::function<void(const LogRecord&)>& fn) const;
 
-  /// \brief Copies up to `max_records` records with `from <= lsn <= to` into
-  /// `out` (appended), in LSN order, under a single shared-lock acquisition.
-  /// Returns the last LSN copied (kInvalidLsn if none). Like Scan, silently
-  /// starts at FirstLsn() when `from` has been truncated away.
-  ///
-  /// This is the batched read the parallel log propagator uses: the reader
-  /// stage copies one bounded chunk out and releases the lock before handing
-  /// records to worker queues, so workers never touch the log's lock and
-  /// appenders only ever contend with one bounded copy at a time.
-  Lsn ScanInto(Lsn from, Lsn to, size_t max_records,
-               std::vector<LogRecord>* out) const;
-
-  /// \brief Like ScanInto, but returns Corruption when `from` has been
-  /// truncated away instead of skipping the gap.
-  Result<Lsn> ScanIntoChecked(Lsn from, Lsn to, size_t max_records,
-                              std::vector<LogRecord>* out) const;
-
   /// \brief Discards records with lsn < `keep_from` (log archiving /
   /// checkpoint truncation). At()/Scan() treat the dropped range as absent.
   /// In durable mode, closed segments whose records all fall below the

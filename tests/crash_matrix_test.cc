@@ -88,12 +88,6 @@ struct Scenario {
   std::function<std::map<std::string, std::vector<Row>>(
       const std::vector<std::vector<Row>>&)>
       oracle;
-  /// Whether this scenario's write traffic (StripedWriters updates) gets a
-  /// per-key RoutingKey and therefore reaches the worker rings. FoJ routes
-  /// only inserts — updates are barriers applied inline on the reader — so
-  /// its parallel rows never stage a ring push and the
-  /// "transform.handoff.push" pin does not apply.
-  bool writes_route_to_workers = true;
 };
 
 Scenario FojScenario() {
@@ -117,7 +111,6 @@ Scenario FojScenario() {
   sc.initial_rows = {r_rows, s_rows};
   sc.writer_table = 0;
   sc.writer_column = 2;  // payload
-  sc.writes_route_to_workers = false;  // FoJ updates are barrier ops
   sc.make_rules = [](engine::Database* db) -> std::shared_ptr<OperatorRules> {
     FojSpec spec;
     spec.r_table = "r";
@@ -213,14 +206,11 @@ Scenario HSplitScenario() {
   return sc;
 }
 
-TransformConfig CellConfig(
-    SyncStrategy strategy, size_t workers = 0, size_t populate_workers = 0,
-    PropagatorHandoff handoff = PropagatorHandoff::kRing, size_t tablets = 1) {
+TransformConfig CellConfig(SyncStrategy strategy, size_t populate_workers = 0,
+                           size_t tablets = 1) {
   TransformConfig config;
   config.strategy = strategy;
-  config.propagate_workers = workers;
   config.populate_workers = populate_workers;
-  config.propagate_handoff = handoff;
   config.tablets = tablets;
   config.drop_sources = false;  // recovery recreates sources; keep symmetric
   // Bounds the whole run, the drain, and — critically — how long a writer
@@ -234,9 +224,8 @@ TransformConfig CellConfig(
 /// Runs the transformation once, cleanly, with tracing on, and returns the
 /// transform-path failpoints this (operator, strategy) pair crosses.
 std::vector<std::string> EnumerateSites(const Scenario& sc,
-                                        SyncStrategy strategy, size_t workers,
+                                        SyncStrategy strategy,
                                         size_t populate_workers,
-                                        PropagatorHandoff handoff,
                                         size_t tablets) {
   auto& fps = Failpoints::Instance();
   fps.DisableAll();
@@ -256,9 +245,8 @@ std::vector<std::string> EnumerateSites(const Scenario& sc,
   EXPECT_TRUE(writers.WaitForCommits(5));
 
   auto rules = sc.make_rules(&db);
-  TransformCoordinator coord(
-      &db, rules,
-      CellConfig(strategy, workers, populate_workers, handoff, tablets));
+  TransformCoordinator coord(&db, rules,
+                             CellConfig(strategy, populate_workers, tablets));
   auto straddler = db.Begin();
   EXPECT_TRUE(db.Update(straddler, sources[sc.writer_table].get(),
                         Row({kStraddlerKey}),
@@ -285,25 +273,23 @@ std::vector<std::string> EnumerateSites(const Scenario& sc,
 }
 
 /// One matrix cell: crash at `site`, recover, verify (a)-(c) above.
-void RunCrashCell(const Scenario& sc, SyncStrategy strategy, size_t workers,
-                  size_t populate_workers, PropagatorHandoff handoff,
-                  size_t tablets, const std::string& site) {
-  const char* handoff_name =
-      handoff == PropagatorHandoff::kRing ? "ring" : "mutex";
+void RunCrashCell(const Scenario& sc, SyncStrategy strategy,
+                  size_t populate_workers, size_t tablets,
+                  const std::string& site) {
   SCOPED_TRACE(sc.name + " / " + std::string(SyncStrategyToString(strategy)) +
-               " / workers=" + std::to_string(workers) +
                " / populate_workers=" + std::to_string(populate_workers) +
-               " / handoff=" + handoff_name + " / tablets=" +
-               std::to_string(tablets) + " / crash at " + site);
+               " / tablets=" + std::to_string(tablets) + " / crash at " +
+               site);
   auto& fps = Failpoints::Instance();
   fps.DisableAll();
   fps.ResetCounters();
 
+  // Unique per row and site: `ctest -j` runs rows as concurrent processes,
+  // and two rows sharing a file would load or delete each other's log.
   std::string path = ::testing::TempDir() + "/morph_crash_" + sc.name + "_" +
-                     std::string(SyncStrategyToString(strategy)) + "_w" +
-                     std::to_string(workers) + "_pw" +
-                     std::to_string(populate_workers) + "_" + handoff_name +
-                     "_" + site + ".log";
+                     std::string(SyncStrategyToString(strategy)) + "_pw" +
+                     std::to_string(populate_workers) + "_t" +
+                     std::to_string(tablets) + "_" + site + ".log";
   for (char& c : path) {
     if (c == '.') c = '_';
   }
@@ -325,9 +311,8 @@ void RunCrashCell(const Scenario& sc, SyncStrategy strategy, size_t workers,
     ASSERT_TRUE(writers.WaitForCommits(5));
 
     auto rules = sc.make_rules(&db);
-    TransformCoordinator coord(
-        &db, rules,
-        CellConfig(strategy, workers, populate_workers, handoff, tablets));
+    TransformCoordinator coord(&db, rules,
+                               CellConfig(strategy, populate_workers, tablets));
     auto straddler = db.Begin();
     ASSERT_TRUE(db.Update(straddler, sources[sc.writer_table].get(),
                           Row({kStraddlerKey}),
@@ -427,9 +412,7 @@ void RunCrashCell(const Scenario& sc, SyncStrategy strategy, size_t workers,
   // oracle of the recovered sources.
   auto rules2 = sc.make_rules(&db2);
   TransformCoordinator coord2(
-      &db2, rules2,
-      CellConfig(strategy, /*workers=*/0, /*populate_workers=*/0,
-                 PropagatorHandoff::kRing, tablets));
+      &db2, rules2, CellConfig(strategy, /*populate_workers=*/0, tablets));
   auto run2 = coord2.Run();
   ASSERT_TRUE(run2.ok()) << run2.status().ToString();
   ASSERT_TRUE(run2->completed) << run2->abort_reason;
@@ -443,37 +426,24 @@ void RunCrashCell(const Scenario& sc, SyncStrategy strategy, size_t workers,
 }
 
 void RunMatrixRow(const Scenario& sc, SyncStrategy strategy,
-                  size_t workers = 0, size_t populate_workers = 0,
-                  PropagatorHandoff handoff = PropagatorHandoff::kRing,
-                  size_t tablets = 1) {
-  const auto sites = EnumerateSites(sc, strategy, workers, populate_workers,
-                                    handoff, tablets);
+                  size_t populate_workers = 0, size_t tablets = 1) {
+  const auto sites = EnumerateSites(sc, strategy, populate_workers, tablets);
   ASSERT_FALSE(sites.empty());
   // Sanity-pin the coverage: the phase boundaries every strategy crosses.
   // Every run is a per-tablet sequence (the whole table is one tablet), so
   // every row crosses the tablet seams and both sites of the latched pass.
-  std::vector<const char*> expected_sites = {
+  const std::vector<const char*> expected_sites = {
       "transform.prepare.before",      "transform.fuzzy.begin",
       "transform.populate.batch",      "transform.propagate.iteration",
       "transform.tablet.boundary",     "transform.tablet.sync",
       "transform.sync.latched",        "transform.drain.iteration",
       "transform.finalize.before_drop"};
-  if (workers > 0 && handoff == PropagatorHandoff::kRing &&
-      sc.writes_route_to_workers) {
-    // The lock-free rows must cross the ring-publication site (it fires on
-    // the reader thread just before a staged batch's release-store becomes
-    // visible to the workers), so a crash there is exercised below like any
-    // other: records already published may or may not have been applied to
-    // the in-memory targets, and recovery must not care.
-    expected_sites.push_back("transform.handoff.push");
-  }
   for (const char* expected : expected_sites) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), expected), sites.end())
         << "tracing run did not cross " << expected;
   }
   for (const std::string& site : sites) {
-    RunCrashCell(sc, strategy, workers, populate_workers, handoff, tablets,
-                 site);
+    RunCrashCell(sc, strategy, populate_workers, tablets, site);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -506,38 +476,6 @@ TEST(CrashMatrixTest, HSplitNonBlockingCommit) {
   RunMatrixRow(HSplitScenario(), SyncStrategy::kNonBlockingCommit);
 }
 
-// --- parallel propagation rows ----------------------------------------------
-//
-// Same matrix, but the propagation pipeline runs with apply workers over the
-// default lock-free ring handoff: "transform.propagate.worker" now fires on a
-// *worker* thread (the propagator must funnel the CrashException back to the
-// coordinator thread via TakeFailure after draining), and
-// "transform.handoff.push" fires on the reader thread at the batch
-// publication point — RunMatrixRow pins both in the enumerated sites. The
-// recovery contract is unchanged either way, because a crash anywhere in the
-// pipeline is still just a dead incarnation whose only surviving state is
-// the WAL; in particular a crash at the push site may leave a published
-// batch half-applied by a worker that keeps draining while the coordinator
-// unwinds, and none of that matters after restart.
-TEST(CrashMatrixTest, FojNonBlockingAbortParallel) {
-  RunMatrixRow(FojScenario(), SyncStrategy::kNonBlockingAbort, /*workers=*/3);
-}
-TEST(CrashMatrixTest, VSplitNonBlockingAbortParallel) {
-  RunMatrixRow(VSplitScenario(), SyncStrategy::kNonBlockingAbort,
-               /*workers=*/3);
-}
-TEST(CrashMatrixTest, HSplitNonBlockingAbortParallel) {
-  RunMatrixRow(HSplitScenario(), SyncStrategy::kNonBlockingAbort,
-               /*workers=*/3);
-}
-// The legacy mutex handoff stays covered: same row shape, explicit kMutex.
-// No "transform.handoff.push" pin here — that site is the ring publication
-// point and never fires on the mutex path.
-TEST(CrashMatrixTest, FojNonBlockingAbortParallelMutex) {
-  RunMatrixRow(FojScenario(), SyncStrategy::kNonBlockingAbort, /*workers=*/3,
-               /*populate_workers=*/0, PropagatorHandoff::kMutex);
-}
-
 // --- parallel population rows ------------------------------------------------
 //
 // Same matrix again with *population* workers: the populate-phase sites
@@ -547,16 +485,16 @@ TEST(CrashMatrixTest, FojNonBlockingAbortParallelMutex) {
 // semantics are identical — the half-populated targets were never logged, so
 // the dead incarnation leaves nothing but the WAL behind.
 TEST(CrashMatrixTest, FojNonBlockingAbortParallelPopulate) {
-  RunMatrixRow(FojScenario(), SyncStrategy::kNonBlockingAbort, /*workers=*/0,
+  RunMatrixRow(FojScenario(), SyncStrategy::kNonBlockingAbort,
                /*populate_workers=*/3);
 }
 TEST(CrashMatrixTest, VSplitNonBlockingAbortParallelPopulate) {
   RunMatrixRow(VSplitScenario(), SyncStrategy::kNonBlockingAbort,
-               /*workers=*/0, /*populate_workers=*/3);
+               /*populate_workers=*/3);
 }
 TEST(CrashMatrixTest, HSplitNonBlockingAbortParallelPopulate) {
   RunMatrixRow(HSplitScenario(), SyncStrategy::kNonBlockingAbort,
-               /*workers=*/0, /*populate_workers=*/3);
+               /*populate_workers=*/3);
 }
 
 // --- staggered-tablet rows ---------------------------------------------------
@@ -570,18 +508,11 @@ TEST(CrashMatrixTest, HSplitNonBlockingAbortParallelPopulate) {
 // a staggered re-run rebuilds everything from scratch.
 TEST(CrashMatrixTest, VSplitNonBlockingAbortStaggered) {
   RunMatrixRow(VSplitScenario(), SyncStrategy::kNonBlockingAbort,
-               /*workers=*/0, /*populate_workers=*/0, PropagatorHandoff::kRing,
-               /*tablets=*/4);
+               /*populate_workers=*/0, /*tablets=*/4);
 }
 TEST(CrashMatrixTest, HSplitNonBlockingAbortStaggered) {
   RunMatrixRow(HSplitScenario(), SyncStrategy::kNonBlockingAbort,
-               /*workers=*/0, /*populate_workers=*/0, PropagatorHandoff::kRing,
-               /*tablets=*/4);
-}
-TEST(CrashMatrixTest, VSplitNonBlockingAbortStaggeredParallel) {
-  RunMatrixRow(VSplitScenario(), SyncStrategy::kNonBlockingAbort,
-               /*workers=*/3, /*populate_workers=*/0, PropagatorHandoff::kRing,
-               /*tablets=*/4);
+               /*populate_workers=*/0, /*tablets=*/4);
 }
 
 // The matrix crashes at a site's *first* hit, which for the tablet sites is
@@ -617,8 +548,7 @@ void RunStaggeredPartialCrashCell(const std::string& site, size_t fire_on_hit,
     auto rules = sc.make_rules(&db);
     TransformCoordinator coord(
         &db, rules,
-        CellConfig(SyncStrategy::kNonBlockingAbort, /*workers=*/0,
-                   /*populate_workers=*/0, PropagatorHandoff::kRing,
+        CellConfig(SyncStrategy::kNonBlockingAbort, /*populate_workers=*/0,
                    kTablets));
     fps.Crash(site, fire_on_hit);
     bool crashed = false;
@@ -699,8 +629,8 @@ void RunStaggeredPartialCrashCell(const std::string& site, size_t fire_on_hit,
   auto rules2 = sc.make_rules(&db2);
   TransformCoordinator coord2(
       &db2, rules2,
-      CellConfig(SyncStrategy::kNonBlockingAbort, /*workers=*/0,
-                 /*populate_workers=*/0, PropagatorHandoff::kRing, kTablets));
+      CellConfig(SyncStrategy::kNonBlockingAbort, /*populate_workers=*/0,
+                 kTablets));
   auto run2 = coord2.Run();
   ASSERT_TRUE(run2.ok()) << run2.status().ToString();
   ASSERT_TRUE(run2->completed) << run2->abort_reason;

@@ -479,7 +479,6 @@ TEST(TabletObservabilityTest, StaggeredRunExportsPerTabletInstruments) {
   CellOptions opts;
   opts.strategy = transform::SyncStrategy::kNonBlockingAbort;
   opts.tablets = 4;
-  opts.workers = 0;
   const CellResult cell = RunCell(Operator::kMerge, opts);
   fps.Disable("transform.fuzzy.end");
   ASSERT_TRUE(cell.completed) << cell.abort_reason;
@@ -532,7 +531,6 @@ TEST(TabletObservabilityTest, WholeTableRunIsOneTablet) {
   CellOptions opts;
   opts.strategy = transform::SyncStrategy::kNonBlockingAbort;
   opts.tablets = 1;
-  opts.workers = 0;
   const CellResult cell = RunCell(Operator::kVSplit, opts);
   ASSERT_TRUE(cell.completed) << cell.abort_reason;
   ASSERT_EQ(cell.resolved_tablets, 1u);

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
+#include <time.h>
 
+#include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
 #include "engine/database.h"
 #include "transform/priority.h"
+#include "transform/propagator.h"
 #include "transform/split.h"
+#include "txn/transform_locks.h"
 
 namespace morph::transform {
 namespace {
@@ -155,6 +160,71 @@ TEST(PriorityControllerTest, ParallelPopulationPaysDutyIncludingSFlush) {
   EXPECT_GT(totals.work_nanos, 0);
   EXPECT_GT(totals.slept_nanos, 0) << "population never paid the throttle";
   EXPECT_LE(totals.achieved(), 2 * kRequested);
+}
+
+int64_t ThreadCpuNanos() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+TEST(PriorityControllerTest, ThrottledPropagationPaysDutyOnItsOwnThread) {
+  // Propagation is one serial loop on the calling thread, so the batch time
+  // it charges the controller is all of its CPU: at priority p the thread
+  // may use about p of one core. Host load can only lower the ratio (less
+  // CPU per wall second), never raise it.
+  constexpr double kRequested = 0.25;
+  engine::Database db;
+  auto t = *db.CreateTable(
+      "t", *Schema::Make({{"id", ValueType::kInt64, false},
+                          {"grp", ValueType::kInt64, true},
+                          {"city", ValueType::kString, true}},
+                         {"id"}));
+  SplitSpec spec;
+  spec.t_table = "t";
+  spec.r_columns = {"id", "grp"};
+  spec.s_columns = {"grp", "city"};
+  spec.split_columns = {"grp"};
+  auto made = SplitRules::Make(&db, std::move(spec));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  auto rules = std::shared_ptr<SplitRules>(std::move(made).ValueOrDie());
+  ASSERT_TRUE(rules->Prepare().ok());
+
+  const Lsn from = db.wal()->LastLsn() + 1;
+  for (int64_t i = 0; db.wal()->LastLsn() - from + 1 < 20'000; ++i) {
+    auto txn = db.Begin();
+    for (int64_t k = 0; k < 4; ++k) {
+      const int64_t id = i * 4 + k;
+      const int64_t grp = id % 500;
+      ASSERT_TRUE(
+          db.Insert(txn, t.get(), Row({id, grp, "c" + std::to_string(grp)}))
+              .ok());
+    }
+    ASSERT_TRUE(db.Commit(txn).ok());
+  }
+  const Lsn to = db.wal()->LastLsn();
+
+  txn::TransformLockTable tlocks;
+  PriorityController pc(kRequested);
+  LogPropagator prop(db.wal(), rules.get(), &tlocks, &pc, PropagatorConfig{});
+  std::vector<TableId> source_ids;
+  for (const auto& src : rules->Sources()) source_ids.push_back(src->id());
+  prop.SetSources(source_ids);
+
+  std::atomic<Lsn> next{from};
+  const int64_t cpu_start = ThreadCpuNanos();
+  const auto wall_start = Clock::Now();
+  auto processed = prop.PropagateRange(from, to, /*throttled=*/true, &next,
+                                       [] { return false; });
+  const double wall_nanos = static_cast<double>(Clock::NanosSince(wall_start));
+  const double cpu_nanos = static_cast<double>(ThreadCpuNanos() - cpu_start);
+  ASSERT_TRUE(processed.ok()) << processed.status().ToString();
+  EXPECT_EQ(*processed, static_cast<size_t>(to - from + 1));
+  EXPECT_GT(prop.ops_applied(), 0u);
+  EXPECT_GT(pc.totals().slept_nanos, 0)
+      << "propagation never paid the throttle";
+  EXPECT_LE(cpu_nanos / wall_nanos, 2 * kRequested)
+      << "cpu " << cpu_nanos << " ns over wall " << wall_nanos << " ns";
 }
 
 TEST(PriorityControllerTest, PriorityChangeTakesEffect) {

@@ -1,13 +1,12 @@
 #pragma once
 
-// Shared machinery for the propagation differential suites
-// (propagator_parallel_test.cc, handoff_test.cc): a deterministic, seeded
-// op stream replayed against a fresh database per cell, with the
+// Shared machinery for the propagation suites (propagator_parallel_test.cc,
+// tablet_differential_test.cc, metrics_test.cc): a deterministic, seeded op
+// stream replayed against a fresh database per cell, with the
 // transformation held open (SetSyncHold) so propagation runs concurrently
-// with the writer. Cells differ only in propagation configuration — worker
-// count, handoff kind, adaptive mode — so the final transformed-table state
-// must be byte-identical across them, and the observability counters must
-// reconcile.
+// with the writer. Cells that differ only in tablet count must produce
+// byte-identical transformed tables, and every cell's observability
+// counters must reconcile with its own stats and with the WAL.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +26,6 @@
 #include "transform/hsplit.h"
 #include "transform/merge.h"
 #include "transform/op.h"
-#include "transform/propagator.h"
 #include "transform/split.h"
 
 namespace morph::transform::testing {
@@ -68,33 +66,18 @@ struct CellResult {
   /// before/after): must reconcile with the per-run TransformStats.
   uint64_t registry_ops_delta = 0;
   uint64_t registry_records_delta = 0;
-  size_t ops_propagated = 0;
   /// The ops the run must have applied, counted from the WAL: every source
   /// data record from the first tablet's start LSN to the log end whose LSN
   /// is at or past its own tablet's start LSN. A tablet's earlier records
   /// are covered by its populate scan.
   uint64_t wal_ops_expected = 0;
-  /// Resolved propagation shape, straight from TransformStats.
-  size_t resolved_workers = 0;
   /// Resolved tablet count (1 when the operator/config clamped staggering).
   size_t resolved_tablets = 0;
-  std::string handoff;
-  size_t adaptive_probe_windows = 0;
-  size_t adaptive_collapses = 0;
-  size_t adaptive_expansions = 0;
 };
 
 struct CellOptions {
   SyncStrategy strategy = SyncStrategy::kNonBlockingAbort;
-  /// Worker count; TransformConfig::kAutoWorkers enables the adaptive
-  /// controller with the ring handoff.
-  size_t workers = 0;
-  PropagatorHandoff handoff = PropagatorHandoff::kRing;
   uint64_t seed = 1;
-  /// Parallel cells normally must show real queue-worker activity (guards
-  /// against silently degrading to serial). Auto cells may legitimately
-  /// collapse to serial, so the check is skipped for them.
-  bool expect_queue_work = true;
   /// Tablet count, applied both to the tables (DatabaseOptions) and the
   /// transformation (TransformConfig). 1 = the whole table. Operators that
   /// don't support staggering clamp back to 1 — the differential still
@@ -112,8 +95,6 @@ struct CellOptions {
 inline TransformConfig CellConfig(const CellOptions& opts) {
   TransformConfig config;
   config.strategy = opts.strategy;
-  config.propagate_workers = opts.workers;
-  config.propagate_handoff = opts.handoff;
   config.drop_sources = false;
   config.max_duration_micros = 60'000'000;
   // The stream is produced while synchronization is held open, so the
@@ -226,7 +207,7 @@ inline void DriveStream(engine::Database* db, Operator op, storage::Table* a,
     } else if (!t->finished()) {
       (void)db->Abort(t);
     }
-    // Yield now and then so apply workers interleave with the writer even
+    // Yield now and then so propagation interleaves with the writer even
     // on a single-core host.
     if (i % 16 == 0) std::this_thread::yield();
   }
@@ -392,13 +373,7 @@ inline CellResult RunCell(Operator op, const CellOptions& opts) {
   result.abort_reason = stats->abort_reason;
   result.log_records = stats->log_records_processed;
   result.locks_at_end = coord.transform_locks()->num_locks();
-  result.ops_propagated = stats->ops_propagated;
-  result.resolved_workers = stats->propagate_workers;
   result.resolved_tablets = stats->tablets;
-  result.handoff = stats->propagate_handoff;
-  result.adaptive_probe_windows = stats->adaptive_probe_windows;
-  result.adaptive_collapses = stats->adaptive_collapses;
-  result.adaptive_expansions = stats->adaptive_expansions;
   const TabletTransformManager* tm = coord.tablet_manager();
   (void)db.wal()->ScanChecked(
       tm->start_lsn(0), db.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
@@ -417,18 +392,6 @@ inline CellResult RunCell(Operator op, const CellOptions& opts) {
   // registry: the cell's registry delta must equal the run's own counts.
   EXPECT_EQ(result.registry_ops_delta, stats->ops_propagated);
   EXPECT_EQ(result.registry_records_delta, stats->log_records_processed);
-  // Guard against the parallel cells silently degrading to serial: the
-  // queue workers (worker_ops[1..]) must have applied real work. Auto
-  // cells may legitimately collapse to serial, so callers opt out there.
-  if (stats->propagate_workers > 0 && opts.expect_queue_work) {
-    size_t queue_worker_ops = 0;
-    for (size_t w = 1; w < stats->worker_ops.size(); ++w) {
-      queue_worker_ops += stats->worker_ops[w];
-    }
-    EXPECT_EQ(stats->worker_ops.size(), stats->propagate_workers + 1);
-    EXPECT_GT(queue_worker_ops, 0u)
-        << OperatorName(op) << " workers=" << stats->propagate_workers;
-  }
   for (const auto& target : rules->Targets()) {
     const std::vector<Row> rows = morph::testing::SortedRows(*target);
     result.targets.insert(result.targets.end(), rows.begin(), rows.end());
@@ -454,15 +417,6 @@ inline CellResult RunCell(Operator op, const CellOptions& opts) {
     std::sort(result.s_counters.begin(), result.s_counters.end());
   }
   return result;
-}
-
-/// Cross-cell count tolerance: the seeded WAL streams match except for a
-/// handful of timing-dependent abort/no-op records, so totals get a small
-/// jitter allowance — still tight enough to catch a path that
-/// double-counts or drops a batch.
-inline bool NearCount(uint64_t x, uint64_t y) {
-  const uint64_t hi = std::max(x, y);
-  return hi - std::min(x, y) <= hi / 10 + 8;
 }
 
 }  // namespace morph::transform::testing

@@ -3,8 +3,8 @@
 //
 // Three angles:
 //  1. Concurrent differential: for every operator, a seeded op stream
-//     replayed against tablets ∈ {1, 4, 16} × propagate workers ∈ {0, 4}
-//     must produce identical transformed tables (rows and vsplit counters)
+//     replayed against tablets ∈ {1, 4, 16} must produce identical
+//     transformed tables (rows and vsplit counters)
 //     and apply exactly the ops the WAL accounts for. tablets = 1 is the
 //     whole table as one tablet, so this pins every stagger width to the
 //     paper's single-scan semantics.
@@ -47,7 +47,6 @@ TEST_P(TabletDifferentialTest, StaggeredMatchesWholeTable) {
   CellOptions base;
   base.strategy = SyncStrategy::kNonBlockingAbort;
   base.seed = seed;
-  base.workers = 0;
   base.tablets = 1;
   const CellResult whole = RunCell(op, base);
   ASSERT_TRUE(whole.completed) << whole.abort_reason;
@@ -57,35 +56,30 @@ TEST_P(TabletDifferentialTest, StaggeredMatchesWholeTable) {
   EXPECT_EQ(whole.registry_ops_delta, whole.wal_ops_expected);
 
   for (const size_t tablets : {4ul, 16ul}) {
-    for (const size_t workers : {0ul, 4ul}) {
-      SCOPED_TRACE(std::string(OperatorName(op)) + " tablets=" +
-                   std::to_string(tablets) + " workers=" +
-                   std::to_string(workers));
-      CellOptions opts = base;
-      opts.tablets = tablets;
-      opts.workers = workers;
-      const CellResult cell = RunCell(op, opts);
-      ASSERT_TRUE(cell.completed) << cell.abort_reason;
-      EXPECT_EQ(cell.resolved_tablets,
-                SupportsStagger(op) ? tablets : 1u);
-      EXPECT_EQ(cell.targets, whole.targets)
-          << "staggered (" << cell.targets.size() << " rows):\n"
-          << RowsToString(cell.targets) << "whole-table ("
-          << whole.targets.size() << " rows):\n"
-          << RowsToString(whole.targets);
-      EXPECT_EQ(cell.s_counters, whole.s_counters)
-          << "staggered counters:\n"
-          << RowsToString(cell.s_counters) << "whole-table counters:\n"
-          << RowsToString(whole.s_counters);
-      // Every mirrored/target lock must be gone once the run drains.
-      EXPECT_EQ(cell.locks_at_end, 0u);
-      // Exact ops accounting: a pending tablet's records before its own
-      // begin-fuzzy mark reach the targets through its populate scan, not
-      // the propagator, so a staggered cell applies fewer ops than the
-      // whole-table cell — exactly the WAL records at or past each key's
-      // tablet start, each once.
-      EXPECT_EQ(cell.registry_ops_delta, cell.wal_ops_expected);
-    }
+    SCOPED_TRACE(std::string(OperatorName(op)) + " tablets=" +
+                 std::to_string(tablets));
+    CellOptions opts = base;
+    opts.tablets = tablets;
+    const CellResult cell = RunCell(op, opts);
+    ASSERT_TRUE(cell.completed) << cell.abort_reason;
+    EXPECT_EQ(cell.resolved_tablets, SupportsStagger(op) ? tablets : 1u);
+    EXPECT_EQ(cell.targets, whole.targets)
+        << "staggered (" << cell.targets.size() << " rows):\n"
+        << RowsToString(cell.targets) << "whole-table ("
+        << whole.targets.size() << " rows):\n"
+        << RowsToString(whole.targets);
+    EXPECT_EQ(cell.s_counters, whole.s_counters)
+        << "staggered counters:\n"
+        << RowsToString(cell.s_counters) << "whole-table counters:\n"
+        << RowsToString(whole.s_counters);
+    // Every mirrored/target lock must be gone once the run drains.
+    EXPECT_EQ(cell.locks_at_end, 0u);
+    // Exact ops accounting: a pending tablet's records before its own
+    // begin-fuzzy mark reach the targets through its populate scan, not
+    // the propagator, so a staggered cell applies fewer ops than the
+    // whole-table cell — exactly the WAL records at or past each key's
+    // tablet start, each once.
+    EXPECT_EQ(cell.registry_ops_delta, cell.wal_ops_expected);
   }
 }
 
@@ -93,31 +87,23 @@ TEST_P(TabletDifferentialTest, QuiescentByteIdentical) {
   const Operator op = GetParam();
   CellOptions base;
   base.strategy = SyncStrategy::kNonBlockingAbort;
-  base.workers = 0;
   base.tablets = 1;
   base.drive_stream = false;
-  // No concurrent stream means no propagation backlog — the queue workers
-  // legitimately stay idle.
-  base.expect_queue_work = false;
   const CellResult whole = RunCell(op, base);
   ASSERT_TRUE(whole.completed) << whole.abort_reason;
   ASSERT_FALSE(whole.target_dumps.empty());
 
   for (const size_t tablets : {4ul, 16ul}) {
-    for (const size_t workers : {0ul, 4ul}) {
-      SCOPED_TRACE(std::string(OperatorName(op)) + " tablets=" +
-                   std::to_string(tablets) + " workers=" +
-                   std::to_string(workers));
-      CellOptions opts = base;
-      opts.tablets = tablets;
-      opts.workers = workers;
-      const CellResult cell = RunCell(op, opts);
-      ASSERT_TRUE(cell.completed) << cell.abort_reason;
-      ASSERT_EQ(cell.target_dumps.size(), whole.target_dumps.size());
-      for (size_t i = 0; i < cell.target_dumps.size(); ++i) {
-        EXPECT_EQ(cell.target_dumps[i], whole.target_dumps[i])
-            << "target " << i << " diverged";
-      }
+    SCOPED_TRACE(std::string(OperatorName(op)) + " tablets=" +
+                 std::to_string(tablets));
+    CellOptions opts = base;
+    opts.tablets = tablets;
+    const CellResult cell = RunCell(op, opts);
+    ASSERT_TRUE(cell.completed) << cell.abort_reason;
+    ASSERT_EQ(cell.target_dumps.size(), whole.target_dumps.size());
+    for (size_t i = 0; i < cell.target_dumps.size(); ++i) {
+      EXPECT_EQ(cell.target_dumps[i], whole.target_dumps[i])
+          << "target " << i << " diverged";
     }
   }
 }
@@ -137,7 +123,6 @@ INSTANTIATE_TEST_SUITE_P(Operators, TabletDifferentialTest,
 TEST(TabletEligibilityTest, FojClampsToWholeTable) {
   CellOptions opts;
   opts.tablets = 16;
-  opts.workers = 0;
   const CellResult cell = RunCell(Operator::kFoj, opts);
   ASSERT_TRUE(cell.completed) << cell.abort_reason;
   // A full-outer-join target is keyed by join value: a source tablet does
@@ -149,7 +134,6 @@ TEST(TabletEligibilityTest, NonBlockingCommitClampsToWholeTable) {
   CellOptions opts;
   opts.strategy = SyncStrategy::kNonBlockingCommit;
   opts.tablets = 16;
-  opts.workers = 0;
   // Seed borrowed from propagator_parallel_test's merge/non-blocking-commit
   // cell: the straddler's key must survive the stream.
   opts.seed = 126;
@@ -164,7 +148,6 @@ TEST(TabletEligibilityTest, TabletConfigClampsToTableGranularity) {
   CellOptions opts;
   opts.tablets = 16;
   opts.table_tablets = 4;
-  opts.workers = 0;
   CellResult cell = RunCell(Operator::kMerge, opts);
   ASSERT_TRUE(cell.completed) << cell.abort_reason;
   EXPECT_EQ(cell.resolved_tablets, 4u);
