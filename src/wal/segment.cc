@@ -370,6 +370,7 @@ Status SegmentedLog::RotateLocked(Lsn next_lsn) {
 Status SegmentedLog::Append(Lsn lsn, std::string_view frame) {
   std::lock_guard lock(mu_);
   if (!open_) return Status::Internal("SegmentedLog not open");
+  if (!failed_.ok()) return failed_;
   // Rotation is skipped while a repair is pending (flush_dirty_ or a
   // missing open file): the repair itself rotates into a fresh segment.
   const bool repair_pending = flush_dirty_ || file_ == nullptr;
@@ -378,7 +379,10 @@ Status SegmentedLog::Append(Lsn lsn, std::string_view frame) {
       fill + frame.size() > options_.segment_bytes) {
     const Status st = RotateLocked(lsn);
     if (!st.ok()) {
-      if (!st.IsRetryable()) return st;
+      if (!st.IsRetryable()) {
+        failed_ = st;
+        return st;
+      }
       // Transient rotation failure: stage into the oversized current
       // segment and let a later Append/Flush retry the rotation. The
       // record is not lost and the appender sees no error — just a
@@ -505,7 +509,13 @@ void SegmentedLog::Abandon() {
 Status SegmentedLog::Flush() {
   std::lock_guard lock(mu_);
   if (!open_) return Status::Internal("SegmentedLog not open");
-  return FlushLocked();
+  if (!failed_.ok()) return failed_;
+  const Status st = FlushLocked();
+  // Final: the staged frames may already sit in the segment, written but
+  // unsynced. Writing them again, into this segment or a rotated successor,
+  // would put their LSNs in the chain twice.
+  if (!st.ok() && !st.IsRetryable()) failed_ = st;
+  return st;
 }
 
 Status SegmentedLog::RecycleBefore(Lsn keep_from) {

@@ -111,14 +111,17 @@ class SegmentedLog {
   /// A *retryable* rotation failure (transient EIO, ENOSPC while creating
   /// the successor) is deferred, not fatal: the record stages into the
   /// oversized current segment and the rotation is retried by a later
-  /// Append or Flush. Only a permanent fault propagates.
+  /// Append or Flush. A permanent fault propagates and is final, as in
+  /// Flush.
   Status Append(Lsn lsn, std::string_view frame);
 
   /// \brief Writes every staged byte to the current segment file and
   /// fsyncs it: the durability barrier group commit amortizes. On a
   /// retryable failure the staged buffer is retained and the next call
   /// runs the fsync-gate repair (rotate to a fresh segment and rewrite the
-  /// staged records there) before flushing.
+  /// staged records there) before flushing. A permanent failure is final:
+  /// this and every later Append/Flush return it, and the staged frames are
+  /// never written again.
   Status Flush();
 
   /// \brief Simulated process death: discards staged-but-unflushed bytes
@@ -194,6 +197,10 @@ class SegmentedLog {
   /// Path of the closed-but-not-yet-truncated dirty segment when the
   /// repair's truncate itself failed and must be retried.
   std::string dirty_path_;
+  /// A permanent failure on the append/flush path. It is final: every
+  /// later Append and Flush returns it, so frames staged before it are
+  /// never written again.
+  Status failed_;
   /// A manifest rewrite failed retryably; it must succeed before the next
   /// flush can acknowledge durability (an unlisted segment is invisible to
   /// recovery, so acking data inside one would lose it on restart).

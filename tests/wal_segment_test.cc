@@ -432,6 +432,41 @@ TEST_F(WalSegmentTest, CommitSyncFailureHaltsEngine) {
   EXPECT_TRUE(db.Commit(t3).IsInternal());
 }
 
+TEST_F(WalSegmentTest, PermanentFlushFailureIsFinal) {
+  // A permanent fsync failure kills the writer while the failed batch is
+  // still staged (written to the segment, never synced). No later call may
+  // write those frames again. Before the fix, the first append that filled
+  // the segment rotated, and the rotation's flush rewrote the staged frames
+  // into the same file: the chain then held one LSN twice and the next Open
+  // failed with "LSN gap". The halt orders every later append: Sync returns
+  // only once the writer is dead.
+  Lsn doomed = kInvalidLsn;
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.OpenDurable(SmallSegments()).ok());
+    wal.Append(MakeInsert(1, 1, 0));
+    ASSERT_TRUE(wal.Sync(wal.LastLsn()).ok());
+    ASSERT_TRUE(IoFaults::Instance().ConfigureFromString("wal.fsync=eio").ok());
+    doomed = wal.Append(MakeInsert(1, 1, 1));
+    const Status halt = wal.Sync(doomed);
+    ASSERT_FALSE(halt.ok());
+    EXPECT_FALSE(halt.IsRetryable()) << halt.ToString();
+    // Far more than one 512-byte segment holds: these appends must rotate.
+    for (int i = 2; i < 40; ++i) wal.Append(MakeInsert(1, 1, i));
+    EXPECT_FALSE(wal.Sync(wal.LastLsn()).ok());
+    wal.SimulateCrash();
+    IoFaults::Instance().DisableAll();
+  }
+  Wal reloaded;
+  const Status open = reloaded.OpenDurable(SmallSegments());
+  ASSERT_TRUE(open.ok()) << open.ToString();
+  // The acked record survives. The doomed one was written but never synced,
+  // so it may or may not; nothing appended after the halt does.
+  EXPECT_GE(reloaded.LastLsn(), 1u);
+  EXPECT_LE(reloaded.LastLsn(), doomed);
+  ASSERT_TRUE(reloaded.At(1).ok());
+}
+
 TEST_F(WalSegmentTest, ShortWritesAndEintrAcrossRotationsAreInvisible) {
   // Regression for the partial-write family: POSIX write(2) may return
   // having consumed any prefix of the buffer, and both write and fsync may
