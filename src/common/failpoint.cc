@@ -4,6 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
+#include <utility>
+#include <vector>
+
+#include "common/metrics.h"
 
 namespace morph {
 
@@ -61,7 +65,10 @@ void Failpoints::RecomputeArmed() {
 
 void Failpoints::Enable(const std::string& name, Config config) {
   std::lock_guard lock(mu_);
-  sites_[name].config = std::move(config);
+  Site& site = sites_[name];
+  site.config = std::move(config);
+  site.hits = 0;
+  site.fires = 0;
   RecomputeArmed();
 }
 
@@ -107,7 +114,110 @@ void Failpoints::SetTracing(bool on) {
   RecomputeArmed();
 }
 
+namespace {
+
+/// Parses one `site=action[(arg)][@N][*M][:qualifier]` entry.
+Status ParseEntry(const std::string& entry, std::string* name,
+                  Failpoints::Config* config) {
+  using Action = Failpoints::Action;
+  const size_t eq = entry.find('=');
+  if (eq == std::string::npos || eq == 0) {
+    return Status::InvalidArgument("failpoint spec entry '" + entry +
+                                   "' is not site=action");
+  }
+  *name = entry.substr(0, eq);
+  std::string action = entry.substr(eq + 1);
+
+  // Peel the suffixes right to left, so they compose in any order after the
+  // action: `eio@2:transient` and `eio:transient@2` parse identically.
+  bool saw_max_fires = false;
+  for (;;) {
+    const size_t pos = action.find_last_of(":@*");
+    if (pos == std::string::npos) break;
+    const char which = action[pos];
+    const std::string suffix = action.substr(pos + 1);
+    if (which == ':') {
+      if (suffix == "transient") {
+        config->transient = true;
+      } else if (suffix == "permanent") {
+        config->transient = false;
+      } else {
+        return Status::InvalidArgument("failpoint spec '" + entry +
+                                       "': unknown qualifier ':" + suffix +
+                                       "'");
+      }
+    } else {
+      char* parse_end = nullptr;
+      const long long v = std::strtoll(suffix.c_str(), &parse_end, 10);
+      if (suffix.empty() || *parse_end != '\0' || v <= 0) {
+        return Status::InvalidArgument("bad failpoint count suffix in '" +
+                                       entry + "'");
+      }
+      if (which == '@') {
+        config->fire_on_hit = static_cast<uint64_t>(v);
+      } else {
+        config->max_fires = v;
+        saw_max_fires = true;
+      }
+    }
+    action = action.substr(0, pos);
+  }
+
+  std::string arg;
+  const size_t paren = action.find('(');
+  if (paren != std::string::npos) {
+    if (action.back() != ')') {
+      return Status::InvalidArgument("unbalanced parentheses in '" + entry +
+                                     "'");
+    }
+    arg = action.substr(paren + 1, action.size() - paren - 2);
+    action = action.substr(0, paren);
+  }
+
+  if (action == "crash") {
+    config->action = Action::kCrash;
+  } else if (action == "error") {
+    config->action = Action::kError;
+    config->error = ErrorForCode(arg, *name);
+    if (config->error.IsInvalidArgument()) return config->error;
+  } else if (action == "delay") {
+    config->action = Action::kDelay;
+    char* parse_end = nullptr;
+    config->delay_micros = std::strtoll(arg.c_str(), &parse_end, 10);
+    if (arg.empty() || *parse_end != '\0' || config->delay_micros < 0) {
+      return Status::InvalidArgument("delay needs non-negative micros in '" +
+                                     entry + "'");
+    }
+  } else if (action == "eio") {
+    config->action = Action::kEio;
+  } else if (action == "enospc") {
+    config->action = Action::kEnospc;
+  } else if (action == "short") {
+    config->action = Action::kShortWrite;
+  } else if (action == "eintr") {
+    config->action = Action::kEintr;
+  } else {
+    return Status::InvalidArgument("unknown failpoint action '" + action +
+                                   "'");
+  }
+
+  // Single-fire defaults; see ConfigureFromString.
+  if (!saw_max_fires &&
+      ((config->action == Action::kEio && config->transient) ||
+       config->action == Action::kShortWrite ||
+       config->action == Action::kEintr)) {
+    config->max_fires = 1;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status Failpoints::ConfigureFromString(const std::string& spec) {
+  // Parse the whole spec before arming anything: via ConfigureFromEnv the
+  // error is only a warning, and a half-armed configuration would silently
+  // diverge from what MORPH_FAILPOINTS says.
+  std::vector<std::pair<std::string, Config>> parsed;
   size_t pos = 0;
   while (pos < spec.size()) {
     size_t end = spec.find_first_of(";,", pos);
@@ -115,66 +225,12 @@ Status Failpoints::ConfigureFromString(const std::string& spec) {
     const std::string entry = spec.substr(pos, end - pos);
     pos = end + 1;
     if (entry.empty()) continue;
-
-    const size_t eq = entry.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return Status::InvalidArgument("failpoint spec entry '" + entry +
-                                     "' is not site=action");
-    }
-    const std::string name = entry.substr(0, eq);
-    std::string action = entry.substr(eq + 1);
-
+    std::string name;
     Config config;
-    // Suffixes: @N (fire on Nth hit), *M (max fires), in either order.
-    for (int round = 0; round < 2; ++round) {
-      const size_t at = action.find_last_of("@*");
-      if (at == std::string::npos) break;
-      const std::string num = action.substr(at + 1);
-      char* parse_end = nullptr;
-      const long long v = std::strtoll(num.c_str(), &parse_end, 10);
-      if (num.empty() || *parse_end != '\0' || v <= 0) {
-        return Status::InvalidArgument("bad failpoint count suffix in '" +
-                                       entry + "'");
-      }
-      if (action[at] == '@') {
-        config.fire_on_hit = static_cast<uint64_t>(v);
-      } else {
-        config.max_fires = v;
-      }
-      action = action.substr(0, at);
-    }
-
-    std::string arg;
-    const size_t paren = action.find('(');
-    if (paren != std::string::npos) {
-      if (action.back() != ')') {
-        return Status::InvalidArgument("unbalanced parentheses in '" + entry +
-                                       "'");
-      }
-      arg = action.substr(paren + 1, action.size() - paren - 2);
-      action = action.substr(0, paren);
-    }
-
-    if (action == "crash") {
-      config.action = Action::kCrash;
-    } else if (action == "error") {
-      config.action = Action::kError;
-      config.error = ErrorForCode(arg, name);
-      if (config.error.IsInvalidArgument()) return config.error;
-    } else if (action == "delay") {
-      config.action = Action::kDelay;
-      char* parse_end = nullptr;
-      config.delay_micros = std::strtoll(arg.c_str(), &parse_end, 10);
-      if (arg.empty() || *parse_end != '\0' || config.delay_micros < 0) {
-        return Status::InvalidArgument("delay needs non-negative micros in '" +
-                                       entry + "'");
-      }
-    } else {
-      return Status::InvalidArgument("unknown failpoint action '" + action +
-                                     "'");
-    }
-    Enable(name, std::move(config));
+    MORPH_RETURN_NOT_OK(ParseEntry(entry, &name, &config));
+    parsed.emplace_back(std::move(name), std::move(config));
   }
+  for (auto& [name, config] : parsed) Enable(name, std::move(config));
   return Status::OK();
 }
 
@@ -226,8 +282,10 @@ std::vector<std::string> Failpoints::HitSitesMatching(
   return names;
 }
 
-Status Failpoints::Evaluate(const char* name) {
-  Config fired;
+Status Failpoints::Evaluate(const char* name, std::string_view path,
+                            Action* fired) {
+  if (fired != nullptr) *fired = Action::kOff;
+  Config shot;
   {
     std::lock_guard lock(mu_);
     Site& site = sites_[name];
@@ -239,18 +297,32 @@ Status Failpoints::Evaluate(const char* name) {
       return Status::OK();
     }
     site.fires++;
-    fired = site.config;
+    shot = site.config;
   }
-  switch (fired.action) {
+  if (fired != nullptr) *fired = shot.action;
+  switch (shot.action) {
     case Action::kCrash:
       throw CrashException(name);
     case Action::kError:
-      return fired.error;
+      return shot.error;
     case Action::kDelay:
-      std::this_thread::sleep_for(std::chrono::microseconds(fired.delay_micros));
+      std::this_thread::sleep_for(std::chrono::microseconds(shot.delay_micros));
       return Status::OK();
-    case Action::kOff:
+    default:
       break;
+  }
+  // An I/O action. short and eintr inject no Status: the write and fsync
+  // loops act on `fired`.
+  MORPH_COUNTER_INC("io.faults.injected");
+  std::string where = name;
+  if (!path.empty()) where += " '" + std::string(path) + "'";
+  if (shot.action == Action::kEnospc) {
+    return Status::NoSpace("injected ENOSPC at " + where);
+  }
+  if (shot.action == Action::kEio) {
+    return shot.transient
+               ? Status::TransientIOError("injected transient EIO at " + where)
+               : Status::PermanentIOError("injected EIO at " + where);
   }
   return Status::OK();
 }

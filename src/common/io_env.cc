@@ -6,18 +6,12 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
-#include <vector>
 
-#include "common/metrics.h"
+#include "common/failpoint.h"
 
 namespace morph {
-
-namespace io_fault_internal {
-std::atomic<int> g_armed{0};
-}  // namespace io_fault_internal
 
 Status StatusFromErrno(const char* op, const std::string& path, int err) {
   std::string msg = std::string(op) + " '" + path + "': " + std::strerror(err);
@@ -28,236 +22,6 @@ Status StatusFromErrno(const char* op, const std::string& path, int err) {
   // transient by definition.
   if (err == EIO || err == EAGAIN) return Status::TransientIOError(std::move(msg));
   return Status::PermanentIOError(std::move(msg));
-}
-
-// ---------------------------------------------------------------------------
-// IoFaults
-// ---------------------------------------------------------------------------
-
-IoFaults& IoFaults::Instance() {
-  static IoFaults* instance = [] {
-    auto* faults = new IoFaults();
-    const Status st = faults->ConfigureFromEnv();
-    if (!st.ok()) {
-      // A silently ignored spec would leave the user believing injection is
-      // armed when it is not — the one failure mode a fault-injection tool
-      // must not have.
-      std::fprintf(stderr, "MORPH_IOFAULTS rejected: %s\n",
-                   st.ToString().c_str());
-    }
-    return faults;
-  }();
-  return *instance;
-}
-
-namespace {
-// Force the registry (and with it MORPH_IOFAULTS) to be applied before main:
-// the primitives' fast path reads g_armed without touching Instance(), so in
-// a binary that never arms a fault programmatically nothing else would ever
-// parse the environment variable.
-const bool g_env_applied = (IoFaults::Instance(), true);
-}  // namespace
-
-void IoFaults::RecomputeArmed() {
-  int armed = 0;
-  for (const auto& [name, site] : sites_) {
-    if (site.config.kind != Kind::kOff) armed++;
-  }
-  io_fault_internal::g_armed.store(armed, std::memory_order_relaxed);
-}
-
-void IoFaults::Enable(const std::string& site, Config config) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Site& s = sites_[site];
-  s.config = config;
-  s.hits = 0;
-  s.fires = 0;
-  RecomputeArmed();
-}
-
-void IoFaults::Disable(const std::string& site) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sites_.find(site);
-  if (it != sites_.end()) {
-    it->second.config.kind = Kind::kOff;
-    RecomputeArmed();
-  }
-}
-
-void IoFaults::DisableAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, site] : sites_) site.config.kind = Kind::kOff;
-  RecomputeArmed();
-}
-
-uint64_t IoFaults::hits(const std::string& site) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sites_.find(site);
-  return it == sites_.end() ? 0 : it->second.hits;
-}
-
-uint64_t IoFaults::fires(const std::string& site) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sites_.find(site);
-  return it == sites_.end() ? 0 : it->second.fires;
-}
-
-void IoFaults::ResetCounters() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, site] : sites_) {
-    site.hits = 0;
-    site.fires = 0;
-  }
-}
-
-IoFaults::Shot IoFaults::Evaluate(const char* site) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sites_.find(site);
-  if (it == sites_.end()) return Shot{};
-  Site& s = it->second;
-  if (s.config.kind == Kind::kOff) return Shot{};
-  s.hits++;
-  if (s.hits < s.config.fire_on_hit) return Shot{};
-  if (s.config.max_fires >= 0 &&
-      s.fires >= static_cast<uint64_t>(s.config.max_fires)) {
-    return Shot{};
-  }
-  s.fires++;
-  MORPH_COUNTER_INC("io.faults.injected");
-  return Shot{s.config.kind, s.config.transient};
-}
-
-Status IoFaults::InjectedStatus(const Shot& shot, const char* site,
-                                const std::string& path) {
-  const std::string where = std::string(site) + " '" + path + "'";
-  switch (shot.kind) {
-    case Kind::kEio:
-      return shot.transient
-                 ? Status::TransientIOError("injected transient EIO at " + where)
-                 : Status::PermanentIOError("injected EIO at " + where);
-    case Kind::kEnospc:
-      return Status::NoSpace("injected ENOSPC at " + where);
-    default:
-      return Status::Internal("IoFaults::InjectedStatus on non-error shot at " +
-                              where);
-  }
-}
-
-namespace {
-
-Status ParseOneFault(const std::string& entry, std::string* site,
-                     IoFaults::Config* config) {
-  const size_t eq = entry.find('=');
-  if (eq == std::string::npos || eq == 0) {
-    return Status::InvalidArgument("iofault spec entry '" + entry +
-                                   "' is not of the form site=kind");
-  }
-  *site = entry.substr(0, eq);
-  std::string action = entry.substr(eq + 1);
-
-  // Peel the suffixes — `:transient`/`:permanent` qualifier, `@N`
-  // (fire_on_hit), `*M` (max_fires) — right to left, so they compose in any
-  // order after the kind: `eio@2:transient` and `eio:transient@2` parse
-  // identically.
-  bool saw_max_fires = false;
-  for (;;) {
-    const size_t pos = action.find_last_of(":@*");
-    if (pos == std::string::npos) break;
-    const char which = action[pos];
-    const std::string suffix = action.substr(pos + 1);
-    if (which == ':') {
-      if (suffix == "transient") {
-        config->transient = true;
-      } else if (suffix == "permanent") {
-        config->transient = false;
-      } else {
-        return Status::InvalidArgument("iofault spec '" + entry +
-                                       "': unknown qualifier ':" + suffix +
-                                       "'");
-      }
-    } else {
-      if (suffix.empty() ||
-          suffix.find_first_not_of("0123456789") != std::string::npos) {
-        return Status::InvalidArgument("iofault spec '" + entry +
-                                       "': bad count suffix '" + which +
-                                       suffix + "'");
-      }
-      const uint64_t value = std::strtoull(suffix.c_str(), nullptr, 10);
-      if (value == 0) {
-        return Status::InvalidArgument("iofault spec '" + entry +
-                                       "': count must be >= 1");
-      }
-      if (which == '@') {
-        config->fire_on_hit = value;
-      } else {
-        config->max_fires = static_cast<int64_t>(value);
-        saw_max_fires = true;
-      }
-    }
-    action = action.substr(0, pos);
-  }
-
-  if (action == "eio") {
-    config->kind = IoFaults::Kind::kEio;
-  } else if (action == "enospc") {
-    config->kind = IoFaults::Kind::kEnospc;
-  } else if (action == "short") {
-    config->kind = IoFaults::Kind::kShortWrite;
-  } else if (action == "eintr") {
-    config->kind = IoFaults::Kind::kEintr;
-  } else {
-    return Status::InvalidArgument("iofault spec '" + entry +
-                                   "': unknown fault kind '" + action + "'");
-  }
-
-  if (!saw_max_fires) {
-    // A ":transient" eio with no explicit fire budget defaults to a single
-    // fire: a transient fault that fires forever is a permanent fault in
-    // effect, and the injector refuses to blur that line silently.
-    if (config->kind == IoFaults::Kind::kEio && config->transient) {
-      config->max_fires = 1;
-    }
-    // eintr/short default to a single fire too: the retried syscall
-    // re-evaluates the same site, so an unbounded eintr fires on every
-    // iteration of the retry loop and the thread spins forever (and an
-    // unbounded short write never finishes transferring). An explicit *M
-    // still allows multiple fires.
-    if (config->kind == IoFaults::Kind::kEintr ||
-        config->kind == IoFaults::Kind::kShortWrite) {
-      config->max_fires = 1;
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status IoFaults::ConfigureFromString(const std::string& spec) {
-  // Parse the whole spec before arming anything: a bad entry must not leave
-  // the earlier entries applied — especially via ConfigureFromEnv, where the
-  // error is only a warning and a half-armed configuration would silently
-  // diverge from what MORPH_IOFAULTS says.
-  std::vector<std::pair<std::string, Config>> parsed;
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t end = spec.find_first_of(";,", start);
-    if (end == std::string::npos) end = spec.size();
-    const std::string entry = spec.substr(start, end - start);
-    start = end + 1;
-    if (entry.empty()) continue;
-    std::string site;
-    Config config;
-    MORPH_RETURN_NOT_OK(ParseOneFault(entry, &site, &config));
-    parsed.emplace_back(std::move(site), config);
-  }
-  for (const auto& [site, config] : parsed) Enable(site, config);
-  return Status::OK();
-}
-
-Status IoFaults::ConfigureFromEnv() {
-  const char* spec = std::getenv("MORPH_IOFAULTS");
-  if (spec == nullptr || spec[0] == '\0') return Status::OK();
-  return ConfigureFromString(spec);
 }
 
 // ---------------------------------------------------------------------------
@@ -278,23 +42,16 @@ Status IoFile::Write(std::string_view data, const char* site) {
   size_t remaining = data.size();
   while (remaining > 0) {
     size_t attempt = remaining;
-    if (IoFaults::armed()) {
-      const IoFaults::Shot shot = IoFaults::Instance().Evaluate(site);
-      switch (shot.kind) {
-        case IoFaults::Kind::kEio:
-        case IoFaults::Kind::kEnospc:
-          return IoFaults::InjectedStatus(shot, site, path_);
-        case IoFaults::Kind::kShortWrite:
-          // Transfer only half the request (at least one byte) — success,
-          // not error, exactly like a real short write. The loop must pick
-          // up the rest on the next iteration.
-          attempt = remaining > 1 ? remaining / 2 : 1;
-          break;
-        case IoFaults::Kind::kEintr:
-          // As if ::write returned -1/EINTR before transferring anything.
-          continue;
-        case IoFaults::Kind::kOff:
-          break;
+    if (Failpoints::armed()) {
+      Failpoints::Action fired = Failpoints::Action::kOff;
+      MORPH_RETURN_NOT_OK(Failpoints::Instance().Evaluate(site, path_, &fired));
+      // As if ::write returned -1/EINTR before transferring anything.
+      if (fired == Failpoints::Action::kEintr) continue;
+      // Transfer only half the request (at least one byte) — success, not
+      // error, exactly like a real short write. The loop must pick up the
+      // rest on the next iteration.
+      if (fired == Failpoints::Action::kShortWrite) {
+        attempt = remaining > 1 ? remaining / 2 : 1;
       }
     }
     const ssize_t n = ::write(fd_, p, attempt);
@@ -309,16 +66,12 @@ Status IoFile::Write(std::string_view data, const char* site) {
 }
 
 Status IoFile::Sync(const char* site) {
-  if (IoFaults::armed()) {
-    for (;;) {
-      const IoFaults::Shot shot = IoFaults::Instance().Evaluate(site);
-      if (shot.kind == IoFaults::Kind::kEio ||
-          shot.kind == IoFaults::Kind::kEnospc) {
-        return IoFaults::InjectedStatus(shot, site, path_);
-      }
-      // Injected EINTR: loop and re-evaluate, like the real retry below.
-      if (shot.kind != IoFaults::Kind::kEintr) break;
-    }
+  if (Failpoints::armed()) {
+    // Injected EINTR: re-evaluate, like the real retry below.
+    Failpoints::Action fired = Failpoints::Action::kOff;
+    do {
+      MORPH_RETURN_NOT_OK(Failpoints::Instance().Evaluate(site, path_, &fired));
+    } while (fired == Failpoints::Action::kEintr);
   }
   while (::fsync(fd_) != 0) {
     if (errno == EINTR) continue;
@@ -338,17 +91,12 @@ IoEnv& IoEnv::Default() {
 
 namespace {
 
-// Non-write sites only carry error faults; short/eintr shots are meaningless
-// there and are swallowed (they still count as fires so tests notice the
-// misconfiguration via fires()).
+// Non-write sites only carry error faults: Evaluate returns OK for short
+// and eintr shots, which still count as fires so tests notice the
+// misconfiguration via fires().
 Status EvaluateErrorSite(const char* site, const std::string& path) {
-  if (!IoFaults::armed()) return Status::OK();
-  const IoFaults::Shot shot = IoFaults::Instance().Evaluate(site);
-  if (shot.kind == IoFaults::Kind::kEio ||
-      shot.kind == IoFaults::Kind::kEnospc) {
-    return IoFaults::InjectedStatus(shot, site, path);
-  }
-  return Status::OK();
+  if (!Failpoints::armed()) return Status::OK();
+  return Failpoints::Instance().Evaluate(site, path);
 }
 
 }  // namespace

@@ -1,13 +1,9 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -21,119 +17,6 @@ namespace morph {
 /// converted to a permanent failure by the retry budget upstream),
 /// everything else -> permanent IOError.
 Status StatusFromErrno(const char* op, const std::string& path, int err);
-
-namespace io_fault_internal {
-/// Number of armed fault configurations. The I/O primitives take the
-/// injection slow path only when non-zero, so with MORPH_IOFAULTS unset a
-/// write costs one extra relaxed atomic load — nothing else.
-extern std::atomic<int> g_armed;
-}  // namespace io_fault_internal
-
-/// \brief Deterministic storage-fault injector: the `MORPH_FAILPOINT`
-/// sibling for the I/O layer.
-///
-/// Every WAL I/O primitive (see IoEnv/IoFile below) names its call site
-/// (`wal.write`, `wal.fsync`, `wal.manifest.rename`, ...) and consults this
-/// registry before touching the kernel. Tests — or the `MORPH_IOFAULTS`
-/// environment variable — arm a site with a fault kind:
-///
-///  - **eio**:    the call fails with an injected I/O error. `:transient`
-///                marks the Status retryable (Status::IsRetryable()), i.e. a
-///                disk hiccup; the default is a permanent fault.
-///  - **enospc**: the call fails with Status::NoSpace — retryable on the
-///                patient ENOSPC budget. Bound the window with `*M` to model
-///                space being freed after M failed attempts.
-///  - **short**:  a write syscall transfers only half the requested bytes
-///                (success, not error). Proves the callers' short-write
-///                retry loops; ignored at non-write sites.
-///  - **eintr**:  the syscall reports EINTR once. Proves EINTR retry loops;
-///                applies to write and fsync sites.
-///
-/// Grammar (sites separated by `;` or `,`; the suffixes compose in any
-/// order after the kind):
-///
-///   MORPH_IOFAULTS="site=kind[@N][*M][:transient|:permanent];..."
-///
-/// `@N` = start firing on the Nth hit of the site, `*M` = stop after M
-/// fires. E.g. `wal.write=eio@3:transient` injects one retryable EIO on the
-/// third write the WAL issues; `wal.fsync=enospc*5` makes five consecutive
-/// fsyncs report a full disk, then clears — an ENOSPC window.
-///
-/// A `:transient` eio with no explicit `*M` defaults to a single fire: a
-/// "transient" fault that fires forever is a permanent fault in effect, and
-/// the injector refuses to blur that line silently. `eintr` and `short`
-/// default to a single fire for a harder reason: the retried syscall
-/// re-evaluates the same site, so an unbounded eintr would fire on every
-/// retry and spin the thread forever. An explicit `*M` bounds them instead.
-///
-/// A spec is applied atomically: if any entry fails to parse, no entry is
-/// armed.
-///
-/// Thread safety: all methods are safe to call concurrently.
-class IoFaults {
- public:
-  enum class Kind : uint8_t { kOff, kEio, kEnospc, kShortWrite, kEintr };
-
-  struct Config {
-    Kind kind = Kind::kOff;
-    /// kEio only: inject a retryable (transient) error instead of permanent.
-    bool transient = false;
-    /// 1-based hit ordinal at which the fault starts firing.
-    uint64_t fire_on_hit = 1;
-    /// Stop firing after this many fires; -1 = unlimited.
-    int64_t max_fires = -1;
-  };
-
-  /// \brief One evaluation's outcome: which fault (if any) fires now.
-  struct Shot {
-    Kind kind = Kind::kOff;
-    bool transient = false;
-  };
-
-  /// \brief The process-wide registry. The first call applies the
-  /// MORPH_IOFAULTS environment variable if set.
-  static IoFaults& Instance();
-
-  /// \brief Macro-style fast path: true iff any fault is armed.
-  static bool armed() {
-    return io_fault_internal::g_armed.load(std::memory_order_relaxed) != 0;
-  }
-
-  void Enable(const std::string& site, Config config);
-  /// Disarms one site — e.g. a test simulating "space was freed" clears an
-  /// unbounded enospc window after running truncation.
-  void Disable(const std::string& site);
-  void DisableAll();
-
-  Status ConfigureFromString(const std::string& spec);
-  Status ConfigureFromEnv();
-
-  uint64_t hits(const std::string& site) const;
-  uint64_t fires(const std::string& site) const;
-  void ResetCounters();
-
-  /// \brief Records a hit at `site` and returns the fault to apply, if any.
-  Shot Evaluate(const char* site);
-
-  /// \brief The Status an eio/enospc shot injects (names the site + path so
-  /// matrix failures are self-describing).
-  static Status InjectedStatus(const Shot& shot, const char* site,
-                               const std::string& path);
-
- private:
-  IoFaults() = default;
-
-  struct Site {
-    Config config;
-    uint64_t hits = 0;
-    uint64_t fires = 0;
-  };
-
-  void RecomputeArmed();  // callers hold mu_
-
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, Site> sites_;
-};
 
 class IoEnv;
 
@@ -172,9 +55,10 @@ class IoFile {
 
 /// \brief Thin abstraction over the raw filesystem operations the WAL
 /// performs (open/write/fsync/rename/remove/truncate/read/list). Every
-/// operation names its call site and consults IoFaults first, so a test can
-/// deterministically fail any single I/O the WAL issues without touching
-/// the real disk's behavior.
+/// operation names its call site and evaluates it as a failpoint first
+/// (see Failpoints: eio, enospc, short and eintr are the I/O actions), so a
+/// test can deterministically fail any single I/O the WAL issues without
+/// touching the real disk's behavior.
 ///
 /// Stateless; the process-wide instance is IoEnv::Default(). It exists as a
 /// class (rather than free functions) so a future backend (O_DIRECT,

@@ -136,7 +136,7 @@ Result<CheckpointMeta> Checkpointer::Write(Database* db,
 
   // Temp + rename: a crash mid-write must leave the previous checkpoint's
   // meta (and thus the previous checkpoint) usable — the same atomicity
-  // discipline as Wal::SaveToFile.
+  // discipline as the WAL manifest rewrite.
   const std::string meta_tmp = MetaPath(dir) + ".tmp";
   {
     std::ofstream out(meta_tmp, std::ios::binary | std::ios::trunc);

@@ -76,7 +76,7 @@ Result<Recovery::Stats> Recovery::Restart(wal::Wal* wal,
   // Pass 1: analysis + redo.
   std::unordered_map<TxnId, Lsn> att;  // loser candidates -> last LSN
   Status redo_status;
-  wal->Scan(wal->FirstLsn(), wal->LastLsn(), [&](const wal::LogRecord& rec) {
+  const auto redo = [&](const wal::LogRecord& rec) {
     stats.records_scanned++;
     switch (rec.type) {
       case wal::LogRecordType::kBegin:
@@ -104,7 +104,11 @@ Result<Recovery::Stats> Recovery::Restart(wal::Wal* wal,
     } else if (!st.IsNotFound() && !st.IsAlreadyExists()) {
       redo_status = st;
     }
-  });
+  };
+  // [FirstLsn, LastLsn] cannot start inside a gap; a gap here means the log
+  // is damaged, and redo must not continue past it.
+  MORPH_RETURN_NOT_OK(
+      wal->ScanChecked(wal->FirstLsn(), wal->LastLsn(), redo).status());
   MORPH_RETURN_NOT_OK(redo_status);
 
   // Pass 2: undo losers.

@@ -244,7 +244,7 @@ Result<Lsn> SegmentedLog::Open(
         break;
       }
       MORPH_COUNTER_INC("wal.segment.torn_tails");
-      MORPH_RETURN_NOT_OK(env_->Truncate(path, valid_end, "wal.truncate"));
+      MORPH_RETURN_NOT_OK(env_->Truncate(path, valid_end, "wal.segment.truncate"));
       break;
     }
     if (quarantine_mid_segment) return quarantine_status;
@@ -415,7 +415,7 @@ Status SegmentedLog::RepairLocked() {
       file_.reset();
     }
     MORPH_RETURN_NOT_OK(env_->Truncate(
-        dirty_path_, kSegmentHeaderBytes + cur->bytes, "wal.truncate"));
+        dirty_path_, kSegmentHeaderBytes + cur->bytes, "wal.segment.truncate"));
     dirty_path_.clear();
     flush_dirty_ = false;
     fsync_gate_repairs_++;

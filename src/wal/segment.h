@@ -18,8 +18,6 @@ namespace morph::wal {
 
 /// FNV-1a over a record's encoded payload. The on-disk framing stores it so
 /// a torn or corrupted tail is detected instead of decoded as garbage.
-/// Shared by the whole-log snapshot format (Wal::SaveToFile) and the
-/// segmented backend below — both use the same [size][fnv1a][payload] frame.
 uint32_t FrameChecksum(std::string_view data);
 
 /// Appends one framed record ([u32 payload size][u32 FNV-1a][payload]) to
@@ -36,10 +34,10 @@ void AppendFrame(std::string* out, const LogRecord& rec);
 ///   quarantine-<id>.bad     damaged segments set aside by the scrub
 ///
 /// Each segment file starts with a fixed header (magic, version, segment id,
-/// first LSN) followed by `[size][fnv1a][payload]` frames — the same framing
-/// the whole-log snapshot format uses, so torn tails are detected the same
-/// way. Records never span segments: a record that would overflow the size
-/// threshold closes the current segment and opens the next one.
+/// first LSN) followed by `[size][fnv1a][payload]` frames, so a torn tail is
+/// detected by its checksum. Records never span segments: a record that
+/// would overflow the size threshold closes the current segment and opens
+/// the next one.
 ///
 /// Recovery contract (ARIES tail discipline): a torn or checksum-failing
 /// frame is tolerated only at the end of the *last* segment — the expected
@@ -55,7 +53,7 @@ void AppendFrame(std::string* out, const LogRecord& rec);
 /// everything up to the damage instead of failing forever.
 ///
 /// Fault tolerance (fsync-gate): every disk touch goes through IoEnv, so
-/// any single I/O can be failed deterministically by MORPH_IOFAULTS. A
+/// any single I/O can be failed deterministically by a failpoint. A
 /// retryable flush failure (transient EIO, ENOSPC) leaves the staged buffer
 /// intact and marks the log dirty; the next Flush runs a *repair* that
 /// truncates the current segment back to its durable prefix via a fresh

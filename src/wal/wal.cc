@@ -1,12 +1,8 @@
 #include "wal/wal.h"
 
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <system_error>
 
-#include "common/codec.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -14,18 +10,6 @@
 #include "wal/wal_writer.h"
 
 namespace morph::wal {
-
-namespace {
-
-/// Header of the whole-log snapshot format: [magic][version][base LSN].
-/// The base LSN is what makes an empty or fully truncated log round-trip
-/// without resetting its LSN space (re-issuing consumed LSNs would corrupt
-/// every consumer that keys state by LSN, e.g. propagated_lsn bookkeeping).
-constexpr uint32_t kWalFileMagic = 0x4d57414c;  // "MWAL"
-constexpr uint32_t kWalFileVersion = 1;
-constexpr size_t kWalFileHeaderBytes = 4 + 4 + 8;
-
-}  // namespace
 
 // Out of line: the inline-defaulted special members would need the complete
 // SegmentedLog/GroupCommitWriter types in every includer.
@@ -230,8 +214,11 @@ Result<LogRecord> Wal::At(Lsn lsn) const {
   return records_[lsn - base_lsn_];
 }
 
-Lsn Wal::Scan(Lsn from, Lsn to,
-              const std::function<void(const LogRecord&)>& fn) const {
+Result<Lsn> Wal::ScanChecked(
+    Lsn from, Lsn to, const std::function<void(const LogRecord&)>& fn) const {
+  if (from == kInvalidLsn) {
+    return Status::InvalidArgument("ScanChecked from kInvalidLsn");
+  }
   Lsn last = kInvalidLsn;
   // Zero-copy chunked scan: the shared lock is dropped between small chunks
   // so appenders keep making progress, and records are handed to `fn` by
@@ -242,34 +229,9 @@ Lsn Wal::Scan(Lsn from, Lsn to,
   Lsn next = from;
   while (next <= to) {
     std::shared_lock lock(mu_);
-    if (next < base_lsn_) next = base_lsn_;
-    if (records_.empty()) break;
-    const Lsn end = std::min<Lsn>(to, base_lsn_ + records_.size() - 1);
-    if (next > end) break;
-    const Lsn stop = std::min<Lsn>(end, next + kChunk - 1);
-    for (Lsn l = next; l <= stop; ++l) {
-      fn(records_[l - base_lsn_]);
-      last = l;
-    }
-    next = stop + 1;
-  }
-  return last;
-}
-
-Result<Lsn> Wal::ScanChecked(
-    Lsn from, Lsn to, const std::function<void(const LogRecord&)>& fn) const {
-  if (from == kInvalidLsn) {
-    return Status::InvalidArgument("ScanChecked from kInvalidLsn");
-  }
-  Lsn last = kInvalidLsn;
-  constexpr size_t kChunk = 128;
-  Lsn next = from;
-  while (next <= to) {
-    std::shared_lock lock(mu_);
     // The gap check runs per chunk, not once: truncation can race past the
     // resume point between lock drops, and continuing from FirstLsn() would
-    // silently skip records — the exact lost-update hazard this variant
-    // exists to surface.
+    // silently skip records — the lost-update hazard the check surfaces.
     if (next < base_lsn_) {
       MORPH_COUNTER_INC("wal.scan_gap_detected");
       return Status::Corruption(
@@ -357,127 +319,6 @@ void Wal::RemoveRetentionPin(uint64_t id) {
 Lsn Wal::FirstLsn() const {
   std::shared_lock lock(mu_);
   return base_lsn_;
-}
-
-Status Wal::SaveToFile(const std::string& path) const {
-  MORPH_FAILPOINT("wal.save");
-  MORPH_COUNTER_INC("wal.saves");
-  const auto save_start = std::chrono::steady_clock::now();
-  // Header (persisting the base LSN), then each record framed as
-  // [u32 payload size][u32 FNV-1a checksum][payload] so a reader can tell a
-  // torn tail (the common crash artifact) from valid data without trusting
-  // the payload codec to fail on garbage.
-  std::string buf;
-  {
-    std::shared_lock lock(mu_);
-    codec::PutU32(&buf, kWalFileMagic);
-    codec::PutU32(&buf, kWalFileVersion);
-    codec::PutU64(&buf, base_lsn_);
-    for (const LogRecord& rec : records_) {
-      AppendFrame(&buf, rec);
-    }
-  }
-  // Write-temp + flush + rename: the previous good file survives any crash
-  // up to (and including) the rename window; readers only ever see either
-  // the complete old file or the complete new one.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot open " + tmp + " for writing");
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    out.flush();
-    if (!out) return Status::IOError("short write to " + tmp);
-  }
-  MORPH_FAILPOINT("wal.save.before_rename");
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::IOError("rename " + tmp + " -> " + path + ": " +
-                           ec.message());
-  }
-  const int64_t save_nanos =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - save_start)
-          .count();
-  MORPH_HISTOGRAM_NANOS("wal.save_nanos", save_nanos);
-  // The in-memory engine's equivalent of an fsync: a = bytes written.
-  MORPH_TRACE("wal.save", static_cast<int64_t>(buf.size()), save_nanos);
-  return Status::OK();
-}
-
-Status Wal::LoadFromFile(const std::string& path) {
-  MORPH_FAILPOINT("wal.load");
-  MORPH_COUNTER_INC("wal.loads");
-  if (durable()) {
-    return Status::InvalidArgument(
-        "LoadFromFile would bypass the segmented backend of a durable Wal");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path + " for reading");
-  std::string buf((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-
-  // Header: current files persist the base LSN; legacy files start straight
-  // at the first frame. A file shorter than a full header (or with a torn
-  // header) loads as an empty log — same torn-tail tolerance as frames.
-  Lsn header_base = kInvalidLsn;
-  size_t offset = 0;
-  if (buf.size() >= 4) {
-    codec::Reader probe{buf, 0, false};
-    if (probe.GetU32() == kWalFileMagic) {
-      if (buf.size() < kWalFileHeaderBytes) {
-        // Torn mid-header: nothing usable follows.
-        std::unique_lock lock(mu_);
-        records_.clear();
-        base_lsn_ = 1;
-        return Status::OK();
-      }
-      if (probe.GetU32() != kWalFileVersion) {
-        return Status::Corruption("unsupported WAL file version in " + path);
-      }
-      header_base = probe.GetU64();
-      offset = kWalFileHeaderBytes;
-    }
-  }
-
-  std::deque<LogRecord> records;
-  while (offset < buf.size()) {
-    // Frame header: a short or checksum-mismatched frame is a torn/corrupt
-    // tail — stop there and keep the valid prefix, exactly what ARIES-style
-    // recovery wants ("the log ends at the last complete record"). Replay
-    // must never continue past a gap, so everything after the first bad
-    // frame is discarded even if it would decode.
-    if (buf.size() - offset < 8) break;
-    codec::Reader reader{buf, offset, false};
-    const uint32_t size = reader.GetU32();
-    const uint32_t checksum = reader.GetU32();
-    if (buf.size() - reader.pos < size) break;
-    const std::string_view payload(buf.data() + reader.pos, size);
-    if (FrameChecksum(payload) != checksum) break;
-    size_t payload_offset = 0;
-    auto rec = LogRecord::Decode(payload, &payload_offset);
-    if (!rec.ok() || payload_offset != size) {
-      // A checksummed frame that does not decode is a writer-side bug, not
-      // bit rot — surface it instead of silently truncating.
-      return Status::Corruption("WAL frame at offset " +
-                                std::to_string(offset) +
-                                " has a valid checksum but does not decode");
-    }
-    records.push_back(std::move(rec).ValueOrDie());
-    offset = reader.pos + size;
-  }
-  std::unique_lock lock(mu_);
-  records_ = std::move(records);
-  if (!records_.empty()) {
-    base_lsn_ = records_.front().lsn;
-  } else if (header_base != kInvalidLsn) {
-    // Empty log with a header: adopt the persisted base so the next Append
-    // continues the LSN space instead of re-issuing consumed LSNs.
-    base_lsn_ = header_base;
-  } else {
-    base_lsn_ = 1;
-  }
-  return Status::OK();
 }
 
 }  // namespace morph::wal

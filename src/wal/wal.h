@@ -61,15 +61,14 @@ struct WalOptions {
 /// propagator can issue while writers keep appending.
 ///
 /// Thread safety: all methods are safe to call concurrently, except
-/// OpenDurable / LoadFromFile / SimulateCrash which are setup/teardown-time
-/// and require external quiescence.
+/// OpenDurable / SimulateCrash which are setup/teardown-time and require
+/// external quiescence.
 ///
-/// Durability comes in two flavors:
-///  - whole-log snapshots (SaveToFile / LoadFromFile), what the in-memory
-///    crash tests use to model "the WAL is the only surviving state";
-///  - the segmented backend (OpenDurable): appends stream into segment
-///    files, Sync() blocks on the group-commit durable horizon, truncation
-///    recycles whole segments, and the next incarnation replays the chain.
+/// Durability has one path, the segmented backend (OpenDurable): appends
+/// stream into segment files, Sync() blocks on the group-commit durable
+/// horizon, truncation recycles whole segments, and the next incarnation
+/// replays the chain. A default-constructed Wal is "durability off": it
+/// lives in memory only and Sync() is a no-op.
 class Wal {
  public:
   Wal();
@@ -135,29 +134,24 @@ class Wal {
 
   /// \brief Invokes `fn` on every record with `from <= lsn <= to`, in LSN
   /// order. `to` may exceed LastLsn(); the scan stops at the current end.
-  /// Returns the last LSN visited (kInvalidLsn if none).
+  /// Returns the last LSN visited (kInvalidLsn if the range is empty).
   ///
-  /// If truncation has raced past `from`, the scan starts at FirstLsn()
-  /// instead — the dropped range is silently skipped. Readers that must not
-  /// lose records (the propagator) use ScanChecked.
+  /// A gap is an error: if `from` (or the resume point of any chunk) has
+  /// been truncated away, returns Corruption instead of silently skipping
+  /// records — the lost-update hazard retention pins exist to prevent, made
+  /// detectable by the reader.
   ///
   /// Zero-copy: `fn` receives a reference into the log, valid only for the
   /// duration of the call, and runs while a shared lock on the log is held
   /// (released every few records so appenders make progress). `fn` must
   /// therefore not call back into this Wal — the log propagator, the main
   /// scanner, never does: propagation writes tables, not log records.
-  Lsn Scan(Lsn from, Lsn to, const std::function<void(const LogRecord&)>& fn) const;
-
-  /// \brief Like Scan, but a gap is an error: if `from` (or the resume point
-  /// of any chunk) has been truncated away, returns Corruption instead of
-  /// silently skipping — the lost-update hazard retention pins exist to
-  /// prevent, now detectable by the reader. Returns the last LSN visited
-  /// (kInvalidLsn if the range is empty).
   Result<Lsn> ScanChecked(Lsn from, Lsn to,
                           const std::function<void(const LogRecord&)>& fn) const;
 
   /// \brief Discards records with lsn < `keep_from` (log archiving /
-  /// checkpoint truncation). At()/Scan() treat the dropped range as absent.
+  /// checkpoint truncation). At() treats the dropped range as absent and
+  /// ScanChecked() reports it as a gap.
   /// In durable mode, closed segments whose records all fall below the
   /// (clamped) floor are recycled and the floor is persisted as the chain's
   /// base LSN.
@@ -165,8 +159,8 @@ class Wal {
   /// `keep_from` is clamped below every registered retention pin (see
   /// AddRetentionPin), so a checkpointer or log janitor that computes its
   /// floor without knowledge of an in-flight transformation cannot discard
-  /// records the propagator has not consumed yet — Scan() would silently
-  /// skip the dropped range and the transformation would lose updates.
+  /// records the propagator has not consumed yet — its next ScanChecked
+  /// would fail on the gap.
   /// A clamped call bumps the `wal.truncate_clamped` counter.
   void TruncateBefore(Lsn keep_from);
 
@@ -184,25 +178,6 @@ class Wal {
   /// \brief First LSN still present (kInvalidLsn+1 == 1 if never truncated,
   /// or LastLsn()+1 for an empty/new log).
   Lsn FirstLsn() const;
-
-  /// \brief Serializes the whole (untruncated) log to `path`, atomically:
-  /// the bytes go to a temp file which is renamed over `path` only after a
-  /// complete flush, so a crash mid-save leaves the previous file intact
-  /// (failpoint `wal.save.before_rename` sits in that window). The file
-  /// carries a header persisting the base LSN — an empty or fully truncated
-  /// log round-trips without resetting its LSN space — followed by records
-  /// framed with a length prefix and checksum so a reader can detect torn
-  /// or corrupted tails.
-  Status SaveToFile(const std::string& path) const;
-
-  /// \brief Replaces this log's contents with the records in `path`.
-  /// Torn-write tolerant: a truncated or checksum-mismatched frame ends the
-  /// load at the last valid record (the prefix is kept, the tail discarded),
-  /// matching what restart recovery expects after a crash mid-write. Only a
-  /// frame that passes its checksum yet fails to decode is reported as
-  /// Corruption. Accepts both the current (headered) format and the legacy
-  /// headerless format. Not available in durable mode.
-  Status LoadFromFile(const std::string& path);
 
   /// \brief Simulates process death for the durable backend: the
   /// group-commit writer is joined WITHOUT a final flush and staged bytes

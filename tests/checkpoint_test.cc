@@ -31,6 +31,13 @@ std::string FreshDir(const std::string& tag) {
   return dir;
 }
 
+/// The durable WAL of a checkpoint test, beside the checkpoint files.
+wal::WalOptions WalIn(const std::string& dir) {
+  wal::WalOptions opts;
+  opts.dir = dir + "/wal";
+  return opts;
+}
+
 // --- TableSnapshot ----------------------------------------------------------
 
 TEST(TableSnapshotTest, RoundTripPreservesMetadata) {
@@ -102,8 +109,8 @@ TEST(CheckpointTest, QuiescentRoundTrip) {
 
 TEST(CheckpointTest, SuffixRedoAndLoserUndo) {
   const std::string dir = FreshDir("suffix");
-  const std::string wal_path = dir + "/wal.log";
   Database db;
+  ASSERT_TRUE(db.wal()->OpenDurable(WalIn(dir)).ok());
   auto table = *db.CreateTable("t", AccountSchema());
   std::vector<Row> rows;
   for (int64_t i = 0; i < 100; ++i) rows.push_back(Row({i, 0}));
@@ -131,12 +138,12 @@ TEST(CheckpointTest, SuffixRedoAndLoserUndo) {
   ASSERT_TRUE(
       db.Update(late_loser, table.get(), Row({50}), {{1, Value(5000)}}).ok());
 
-  // Crash: persist the log; both losers never resolved.
-  ASSERT_TRUE(db.wal()->SaveToFile(wal_path).ok());
+  // Crash: both losers never resolved.
+  morph::testing::SyncAndCrash(db.wal());
 
   Database db2;
   auto t2 = *db2.CreateTable("t", AccountSchema());
-  ASSERT_TRUE(db2.wal()->LoadFromFile(wal_path).ok());
+  ASSERT_TRUE(db2.wal()->OpenDurable(WalIn(dir)).ok());
   auto stats = Checkpointer::Restore(dir, db2.wal(), db2.catalog());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->losers, 2u);
@@ -149,16 +156,12 @@ TEST(CheckpointTest, SuffixRedoAndLoserUndo) {
   EXPECT_EQ(t2->Get(Row({7}))->row[1], Value(0));   // checkpoint-time loser undone
   EXPECT_EQ(t2->Get(Row({50}))->row[1], Value(0));  // post-checkpoint loser undone
   EXPECT_EQ(t2->size(), 100u);
-
-  // Tidy the original engine.
-  ASSERT_TRUE(db.Abort(loser).ok());
-  ASSERT_TRUE(db.Abort(late_loser).ok());
 }
 
 TEST(CheckpointTest, TruncatedWalSufficesAfterCheckpoint) {
   const std::string dir = FreshDir("truncate");
-  const std::string wal_path = dir + "/wal.log";
   Database db;
+  ASSERT_TRUE(db.wal()->OpenDurable(WalIn(dir)).ok());
   auto table = *db.CreateTable("t", AccountSchema());
   std::vector<Row> rows;
   for (int64_t i = 0; i < 200; ++i) rows.push_back(Row({i, i}));
@@ -180,11 +183,11 @@ TEST(CheckpointTest, TruncatedWalSufficesAfterCheckpoint) {
     ASSERT_TRUE(db.Update(txn, table.get(), Row({i}), {{1, Value(int64_t{-2})}}).ok());
     ASSERT_TRUE(db.Commit(txn).ok());
   }
-  ASSERT_TRUE(db.wal()->SaveToFile(wal_path).ok());
+  morph::testing::SyncAndCrash(db.wal());
 
   Database db2;
   auto t2 = *db2.CreateTable("t", AccountSchema());
-  ASSERT_TRUE(db2.wal()->LoadFromFile(wal_path).ok());
+  ASSERT_TRUE(db2.wal()->OpenDurable(WalIn(dir)).ok());
   auto stats = Checkpointer::Restore(dir, db2.wal(), db2.catalog());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(SortedRows(*t2), SortedRows(*table));
@@ -192,8 +195,8 @@ TEST(CheckpointTest, TruncatedWalSufficesAfterCheckpoint) {
 
 TEST(CheckpointTest, ConcurrentWritersFuzzyCheckpointConverges) {
   const std::string dir = FreshDir("concurrent");
-  const std::string wal_path = dir + "/wal.log";
   Database db;
+  ASSERT_TRUE(db.wal()->OpenDurable(WalIn(dir)).ok());
   auto table = *db.CreateTable("t", AccountSchema());
   std::vector<Row> rows;
   for (int64_t i = 0; i < 400; ++i) rows.push_back(Row({i, 0}));
@@ -219,11 +222,11 @@ TEST(CheckpointTest, ConcurrentWritersFuzzyCheckpointConverges) {
   stop.store(true);
   writer.join();
   ASSERT_TRUE(meta.ok());
-  ASSERT_TRUE(db.wal()->SaveToFile(wal_path).ok());
+  morph::testing::SyncAndCrash(db.wal());
 
   Database db2;
   auto t2 = *db2.CreateTable("t", AccountSchema());
-  ASSERT_TRUE(db2.wal()->LoadFromFile(wal_path).ok());
+  ASSERT_TRUE(db2.wal()->OpenDurable(WalIn(dir)).ok());
   auto stats = Checkpointer::Restore(dir, db2.wal(), db2.catalog());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(SortedRows(*t2), SortedRows(*table));

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <functional>
 #include <future>
 #include <map>
@@ -42,9 +40,11 @@ using morph::testing::WithCommittedUpdates;
 //       the relational-operator oracle of the recovered sources — a crash
 //       mid-transformation is equivalent to an abort (paper §6).
 //
-// The WAL file is the only state that survives a cell's "crash": the next
-// incarnation is a fresh Database that recreates the source schemas (ids
-// line up because creation order is fixed) and loads the saved log.
+// The durable WAL is the only state that survives a cell's "crash": the
+// dying incarnation syncs its log and abandons the writer (SyncAndCrash),
+// and the next incarnation is a fresh Database that recreates the source
+// schemas (ids line up because creation order is fixed) and recovers
+// through Recovery::RestartDurable.
 
 /// Key reserved for the deterministic loser transaction; writers never
 /// touch it, so the loser's lock acquisition cannot conflict.
@@ -284,23 +284,17 @@ void RunCrashCell(const Scenario& sc, SyncStrategy strategy,
   fps.DisableAll();
   fps.ResetCounters();
 
-  // Unique per row and site: `ctest -j` runs rows as concurrent processes,
-  // and two rows sharing a file would load or delete each other's log.
-  std::string path = ::testing::TempDir() + "/morph_crash_" + sc.name + "_" +
-                     std::string(SyncStrategyToString(strategy)) + "_pw" +
-                     std::to_string(populate_workers) + "_t" +
-                     std::to_string(tablets) + "_" + site + ".log";
-  for (char& c : path) {
-    if (c == '.') c = '_';
-  }
-  path += ".log";
+  // One directory per row (test case) and site.
+  const morph::testing::TestWalDir wal_dir(site);
+  const wal::WalOptions wopts = wal_dir.options();
 
-  // --- Phase A: run under traffic, crash at the site, save the WAL. -------
+  // --- Phase A: run under traffic, crash at the site. ---------------------
   std::vector<std::vector<Row>> expected_sources;
   {
     engine::DatabaseOptions db_options;
     db_options.table_tablets = tablets;
     engine::Database db(db_options);
+    ASSERT_TRUE(db.wal()->OpenDurable(wopts).ok());
     auto sources = sc.create_sources(&db);
     for (size_t i = 0; i < sources.size(); ++i) {
       ASSERT_TRUE(db.BulkLoad(sources[i].get(), sc.initial_rows[i]).ok());
@@ -370,9 +364,7 @@ void RunCrashCell(const Scenario& sc, SyncStrategy strategy,
                           Row({kReservedKey}),
                           {{sc.writer_column, Value("loser")}})
                     .ok());
-    ASSERT_TRUE(db.wal()->SaveToFile(path).ok());
-    // Tidy shutdown of the dead incarnation (not part of the scenario).
-    ASSERT_TRUE(db.Abort(loser).ok());
+    morph::testing::SyncAndCrash(db.wal());
   }
 
   // --- Phase B: fresh incarnation, recover, verify, re-run. ---------------
@@ -380,8 +372,8 @@ void RunCrashCell(const Scenario& sc, SyncStrategy strategy,
   db2_options.table_tablets = tablets;
   engine::Database db2(db2_options);
   auto sources2 = sc.create_sources(&db2);
-  ASSERT_TRUE(db2.wal()->LoadFromFile(path).ok());
-  auto stats1 = engine::Recovery::Restart(db2.wal(), db2.catalog());
+  auto stats1 =
+      engine::Recovery::RestartDurable(db2.wal(), wopts, db2.catalog());
   ASSERT_TRUE(stats1.ok()) << stats1.status().ToString();
   EXPECT_EQ(stats1->losers, 1u);
   for (size_t i = 0; i < sources2.size(); ++i) {
@@ -422,7 +414,6 @@ void RunCrashCell(const Scenario& sc, SyncStrategy strategy,
     ASSERT_NE(it, expected_targets.end()) << target->name();
     EXPECT_EQ(SortedRows(*target), Sorted(it->second)) << target->name();
   }
-  std::remove(path.c_str());
 }
 
 void RunMatrixRow(const Scenario& sc, SyncStrategy strategy,
@@ -529,12 +520,8 @@ void RunStaggeredPartialCrashCell(const std::string& site, size_t fire_on_hit,
   auto& fps = Failpoints::Instance();
   fps.DisableAll();
   fps.ResetCounters();
-  std::string path = ::testing::TempDir() + "/morph_stagger_partial_" + site +
-                     "_" + std::to_string(fire_on_hit);
-  for (char& c : path) {
-    if (c == '.') c = '_';
-  }
-  path += ".log";
+  const morph::testing::TestWalDir wal_dir;
+  const wal::WalOptions wopts = wal_dir.options();
 
   constexpr size_t kTablets = 4;
   const Scenario sc = VSplitScenario();
@@ -543,6 +530,7 @@ void RunStaggeredPartialCrashCell(const std::string& site, size_t fire_on_hit,
     engine::DatabaseOptions db_options;
     db_options.table_tablets = kTablets;
     engine::Database db(db_options);
+    ASSERT_TRUE(db.wal()->OpenDurable(wopts).ok());
     auto sources = sc.create_sources(&db);
     ASSERT_TRUE(db.BulkLoad(sources[0].get(), sc.initial_rows[0]).ok());
     auto rules = sc.make_rules(&db);
@@ -607,7 +595,7 @@ void RunStaggeredPartialCrashCell(const std::string& site, size_t fire_on_hit,
       }
     }
     db.ClearTransformHook();
-    ASSERT_TRUE(db.wal()->SaveToFile(path).ok());
+    morph::testing::SyncAndCrash(db.wal());
   }
 
   // Next incarnation: recover, then re-run the whole staggered
@@ -617,8 +605,8 @@ void RunStaggeredPartialCrashCell(const std::string& site, size_t fire_on_hit,
   db2_options.table_tablets = kTablets;
   engine::Database db2(db2_options);
   auto sources2 = sc.create_sources(&db2);
-  ASSERT_TRUE(db2.wal()->LoadFromFile(path).ok());
-  auto stats = engine::Recovery::Restart(db2.wal(), db2.catalog());
+  auto stats =
+      engine::Recovery::RestartDurable(db2.wal(), wopts, db2.catalog());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(SortedRows(*sources2[0]), Sorted(expected_source));
   for (const auto& [name, rows] :
@@ -642,7 +630,6 @@ void RunStaggeredPartialCrashCell(const std::string& site, size_t fire_on_hit,
     ASSERT_NE(it, expected_targets.end()) << target->name();
     EXPECT_EQ(SortedRows(*target), Sorted(it->second)) << target->name();
   }
-  std::remove(path.c_str());
 }
 
 TEST(CrashMatrixTest, StaggeredMidSyncCrashKeepsMigratedTablets) {
@@ -678,15 +665,8 @@ void RunDurableCrashCell(const Scenario& sc, const std::string& site) {
   fps.DisableAll();
   fps.ResetCounters();
 
-  std::string dir =
-      ::testing::TempDir() + "/morph_durable_" + sc.name + "_" + site;
-  for (char& c : dir) {
-    if (c == '.') c = '_';
-  }
-  std::filesystem::remove_all(dir);
-
-  wal::WalOptions wopts;
-  wopts.dir = dir;
+  const morph::testing::TestWalDir wal_dir;
+  wal::WalOptions wopts = wal_dir.options();
   wopts.segment_bytes = 1024;  // a handful of records per segment
 
   enum class Fate { kOld, kCommitted, kUnknown };
@@ -844,7 +824,6 @@ void RunDurableCrashCell(const Scenario& sc, const std::string& site) {
     ASSERT_NE(it, expected_targets.end()) << target->name();
     EXPECT_EQ(SortedRows(*target), Sorted(it->second)) << target->name();
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(CrashMatrixTest, FojDurableCrashAtSegmentRotate) {
@@ -869,8 +848,7 @@ TEST(CrashMatrixTest, CrashAfterUpdateLoggedIsUndoneOnRestart) {
   auto& fps = Failpoints::Instance();
   fps.DisableAll();
   fps.ResetCounters();
-  const std::string path =
-      ::testing::TempDir() + "/morph_crash_after_log.log";
+  const morph::testing::TestWalDir wal_dir;
 
   std::vector<Row> initial;
   for (int i = 0; i < 20; ++i) {
@@ -878,6 +856,7 @@ TEST(CrashMatrixTest, CrashAfterUpdateLoggedIsUndoneOnRestart) {
   }
   {
     engine::Database db;
+    ASSERT_TRUE(db.wal()->OpenDurable(wal_dir.options()).ok());
     auto r = *db.CreateTable("r", morph::testing::RSchema());
     ASSERT_TRUE(db.BulkLoad(r.get(), initial).ok());
     auto t = db.Begin();
@@ -888,18 +867,17 @@ TEST(CrashMatrixTest, CrashAfterUpdateLoggedIsUndoneOnRestart) {
     fps.DisableAll();
     // The update is in the log but was never applied to the table.
     EXPECT_EQ((*r->Get(Row({7}))).row[2], Value("p"));
-    ASSERT_TRUE(db.wal()->SaveToFile(path).ok());
+    morph::testing::SyncAndCrash(db.wal());
   }
 
   engine::Database db2;
   auto r2 = *db2.CreateTable("r", morph::testing::RSchema());
-  ASSERT_TRUE(db2.wal()->LoadFromFile(path).ok());
-  auto stats = engine::Recovery::Restart(db2.wal(), db2.catalog());
+  auto stats = engine::Recovery::RestartDurable(db2.wal(), wal_dir.options(),
+                                                db2.catalog());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->losers, 1u);
   EXPECT_EQ(stats->undone, 1u);
   EXPECT_EQ(SortedRows(*r2), Sorted(initial));
-  std::remove(path.c_str());
 }
 
 // A crash *during recovery's own undo pass* leaves some CLRs written; the
@@ -909,10 +887,7 @@ TEST(CrashMatrixTest, CrashDuringRecoveryUndoResumes) {
   auto& fps = Failpoints::Instance();
   fps.DisableAll();
   fps.ResetCounters();
-  const std::string path1 =
-      ::testing::TempDir() + "/morph_crash_undo_1.log";
-  const std::string path2 =
-      ::testing::TempDir() + "/morph_crash_undo_2.log";
+  const morph::testing::TestWalDir wal_dir;
 
   std::vector<Row> initial;
   for (int i = 0; i < 20; ++i) {
@@ -920,6 +895,7 @@ TEST(CrashMatrixTest, CrashDuringRecoveryUndoResumes) {
   }
   {
     engine::Database db;
+    ASSERT_TRUE(db.wal()->OpenDurable(wal_dir.options()).ok());
     auto r = *db.CreateTable("r", morph::testing::RSchema());
     ASSERT_TRUE(db.BulkLoad(r.get(), initial).ok());
     auto loser = db.Begin();
@@ -927,28 +903,27 @@ TEST(CrashMatrixTest, CrashDuringRecoveryUndoResumes) {
       ASSERT_TRUE(
           db.Update(loser, r.get(), Row({i}), {{2, Value("u")}}).ok());
     }
-    ASSERT_TRUE(db.wal()->SaveToFile(path1).ok());
-    ASSERT_TRUE(db.Abort(loser).ok());
+    morph::testing::SyncAndCrash(db.wal());
   }
 
   // First recovery attempt crashes after compensating one of the loser's
-  // three operations.
+  // three operations; the CLR it wrote reaches the log before the crash.
   {
     engine::Database db;
     auto r = *db.CreateTable("r", morph::testing::RSchema());
-    ASSERT_TRUE(db.wal()->LoadFromFile(path1).ok());
     fps.Crash("engine.recovery.undo_record", /*fire_on_hit=*/2);
-    EXPECT_THROW((void)engine::Recovery::Restart(db.wal(), db.catalog()),
+    EXPECT_THROW((void)engine::Recovery::RestartDurable(
+                     db.wal(), wal_dir.options(), db.catalog()),
                  CrashException);
     fps.DisableAll();
-    ASSERT_TRUE(db.wal()->SaveToFile(path2).ok());
+    morph::testing::SyncAndCrash(db.wal());
   }
 
   // Second attempt on the partially-undone log converges.
   engine::Database db2;
   auto r2 = *db2.CreateTable("r", morph::testing::RSchema());
-  ASSERT_TRUE(db2.wal()->LoadFromFile(path2).ok());
-  auto stats = engine::Recovery::Restart(db2.wal(), db2.catalog());
+  auto stats = engine::Recovery::RestartDurable(db2.wal(), wal_dir.options(),
+                                                db2.catalog());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->losers, 1u);
   EXPECT_EQ(stats->undone, 2u);  // one op was already compensated
@@ -958,8 +933,6 @@ TEST(CrashMatrixTest, CrashDuringRecoveryUndoResumes) {
   ASSERT_TRUE(stats2.ok());
   EXPECT_EQ(stats2->losers, 0u);
   EXPECT_EQ(SortedRows(*r2), Sorted(initial));
-  std::remove(path1.c_str());
-  std::remove(path2.c_str());
 }
 
 // --- observability across a crash cell --------------------------------------
@@ -972,8 +945,7 @@ TEST(CrashMatrixTest, CrashDuringRecoveryUndoResumes) {
 TEST(CrashMatrixTest, CountersMonotonicWithinRunAndResetAcrossRestart) {
   auto& fps = Failpoints::Instance();
   fps.DisableAll();
-  const std::string path =
-      ::testing::TempDir() + "/morph_crash_metrics.log";
+  const morph::testing::TestWalDir wal_dir;
   auto& registry = metrics::Registry::Instance();
 
   std::vector<Row> initial;
@@ -982,6 +954,7 @@ TEST(CrashMatrixTest, CountersMonotonicWithinRunAndResetAcrossRestart) {
   }
   {
     engine::Database db;
+    ASSERT_TRUE(db.wal()->OpenDurable(wal_dir.options()).ok());
     auto r = *db.CreateTable("r", morph::testing::RSchema());
     ASSERT_TRUE(db.BulkLoad(r.get(), initial).ok());
 
@@ -1009,7 +982,7 @@ TEST(CrashMatrixTest, CountersMonotonicWithinRunAndResetAcrossRestart) {
     auto loser = db.Begin();
     ASSERT_TRUE(
         db.Update(loser, r.get(), Row({5}), {{2, Value("lost")}}).ok());
-    ASSERT_TRUE(db.wal()->SaveToFile(path).ok());
+    morph::testing::SyncAndCrash(db.wal());
   }
 
   // Process death: the next incarnation's counters start from zero.
@@ -1020,13 +993,15 @@ TEST(CrashMatrixTest, CountersMonotonicWithinRunAndResetAcrossRestart) {
 
   engine::Database db2;
   auto r2 = *db2.CreateTable("r", morph::testing::RSchema());
-  ASSERT_TRUE(db2.wal()->LoadFromFile(path).ok());
-  auto stats = engine::Recovery::Restart(db2.wal(), db2.catalog());
+  auto stats = engine::Recovery::RestartDurable(db2.wal(), wal_dir.options(),
+                                                db2.catalog());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->losers, 1u);
 
-  // The new incarnation's counters reflect only post-restart activity.
-  EXPECT_EQ(registry.CounterValue("wal.loads"), 1u);
+  // The new incarnation's counters reflect only post-restart activity: it
+  // replayed the chain once, and redo scanned exactly what was replayed.
+  EXPECT_EQ(registry.CounterValue("wal.segment.replayed_records"),
+            stats->records_scanned);
   EXPECT_EQ(registry.CounterValue("engine.recovery.runs"), 1u);
   EXPECT_EQ(registry.CounterValue("engine.recovery.records_undone"),
             stats->undone);
@@ -1040,7 +1015,6 @@ TEST(CrashMatrixTest, CountersMonotonicWithinRunAndResetAcrossRestart) {
                   for (int64_t i = 0; i < 20; ++i) m.emplace(i, Value("m"));
                   return m;
                 }())));
-  std::remove(path.c_str());
 }
 
 }  // namespace

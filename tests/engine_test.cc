@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <thread>
 
 #include "common/clock.h"
-#include "common/io_env.h"
+#include "common/failpoint.h"
 #include "common/random.h"
 #include "common/relops.h"
 #include "engine/blocking_transform.h"
@@ -63,7 +62,7 @@ TEST_F(DatabaseTest, UpdateLogsPartialImages) {
   ASSERT_TRUE(db_.Commit(t).ok());
   // Find the update record and verify it carries only the changed column.
   bool found = false;
-  db_.wal()->Scan(1, db_.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
+  db_.wal()->ScanChecked(1, db_.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
     if (rec.type != wal::LogRecordType::kUpdate) return;
     found = true;
     ASSERT_EQ(rec.updated_columns.size(), 1u);
@@ -110,7 +109,7 @@ TEST_F(DatabaseTest, AbortWritesClrsWithUndoNextChain) {
 
   size_t clrs = 0;
   bool txn_end = false;
-  db_.wal()->Scan(1, db_.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
+  db_.wal()->ScanChecked(1, db_.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
     if (rec.type == wal::LogRecordType::kClr) {
       clrs++;
       EXPECT_NE(rec.undo_next_lsn, kInvalidLsn);
@@ -157,7 +156,7 @@ TEST_F(DatabaseTest, BulkLoadIsLoggedAndVisible) {
   ASSERT_TRUE(db_.BulkLoad(table_, rows).ok());
   EXPECT_EQ(table_->size(), 100u);
   size_t inserts = 0;
-  db_.wal()->Scan(1, db_.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
+  db_.wal()->ScanChecked(1, db_.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
     if (rec.type == wal::LogRecordType::kInsert) inserts++;
   });
   EXPECT_EQ(inserts, 100u);
@@ -229,11 +228,9 @@ TEST_F(DatabaseTest, ConcurrentTransfersPreserveTotalBalance) {
 // --- Commit admission under ENOSPC backpressure -----------------------------------------
 
 TEST(CommitBackpressureTest, EnospcRefusalIsRetryableAndLeavesTxnIntact) {
-  const std::string dir = ::testing::TempDir() + "/morph_engine_backpressure";
-  std::filesystem::remove_all(dir);
+  const morph::testing::TestWalDir wal_dir;
   Database db;
-  wal::WalOptions wopts;
-  wopts.dir = dir;
+  wal::WalOptions wopts = wal_dir.options();
   wopts.flush_initial_backoff_micros = 50;
   wopts.flush_max_backoff_micros = 2'000;
   wopts.flush_enospc_max_retries = 1'000'000;  // the stall outlives the test
@@ -249,12 +246,13 @@ TEST(CommitBackpressureTest, EnospcRefusalIsRetryableAndLeavesTxnIntact) {
 
   // The disk fills with no horizon; an unrelated append triggers the flush
   // that discovers it and stalls the writer.
-  ASSERT_TRUE(IoFaults::Instance().ConfigureFromString("wal.fsync=enospc").ok());
+  ASSERT_TRUE(
+      Failpoints::Instance().ConfigureFromString("wal.fsync=enospc").ok());
   wal::LogRecord poke;
   poke.type = wal::LogRecordType::kBegin;
   poke.txn_id = 9999;
   db.wal()->Append(std::move(poke));
-  while (IoFaults::Instance().fires("wal.fsync") < 1) {
+  while (Failpoints::Instance().fires("wal.fsync") < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -268,35 +266,37 @@ TEST(CommitBackpressureTest, EnospcRefusalIsRetryableAndLeavesTxnIntact) {
 
   // Space frees (checkpoint truncation nudges the writer): the SAME
   // transaction object retries its Commit and succeeds.
-  IoFaults::Instance().DisableAll();
+  Failpoints::Instance().DisableAll();
   db.wal()->TruncateBefore(1);
   EXPECT_TRUE(db.Commit(t).ok());
   EXPECT_EQ(table->Get(Row({1}))->row[1], Value(42));
-  std::filesystem::remove_all(dir);
 }
 
 // --- Recovery ---------------------------------------------------------------------------
 
 TEST(RecoveryTest, RestartRebuildsCommittedStateAndUndoesLosers) {
-  Database db;
-  auto table = *db.CreateTable("accounts", AccountSchema());
+  const morph::testing::TestWalDir wal_dir;
+  {
+    Database db;
+    ASSERT_TRUE(db.wal()->OpenDurable(wal_dir.options()).ok());
+    auto table = *db.CreateTable("accounts", AccountSchema());
 
-  auto t1 = db.Begin();
-  ASSERT_TRUE(db.Insert(t1, table.get(), Row({1, 100, "a"})).ok());
-  ASSERT_TRUE(db.Insert(t1, table.get(), Row({2, 200, "b"})).ok());
-  ASSERT_TRUE(db.Commit(t1).ok());
+    auto t1 = db.Begin();
+    ASSERT_TRUE(db.Insert(t1, table.get(), Row({1, 100, "a"})).ok());
+    ASSERT_TRUE(db.Insert(t1, table.get(), Row({2, 200, "b"})).ok());
+    ASSERT_TRUE(db.Commit(t1).ok());
 
-  auto t2 = db.Begin();
-  ASSERT_TRUE(db.Update(t2, table.get(), Row({1}), {{1, Value(999)}}).ok());
-  ASSERT_TRUE(db.Insert(t2, table.get(), Row({3, 300, "c"})).ok());
-  // t2 never commits: simulated crash. Move the log to a fresh engine.
-  const std::string path = ::testing::TempDir() + "/morph_recovery_test.log";
-  ASSERT_TRUE(db.wal()->SaveToFile(path).ok());
+    auto t2 = db.Begin();
+    ASSERT_TRUE(db.Update(t2, table.get(), Row({1}), {{1, Value(999)}}).ok());
+    ASSERT_TRUE(db.Insert(t2, table.get(), Row({3, 300, "c"})).ok());
+    // t2 never commits: simulated crash.
+    morph::testing::SyncAndCrash(db.wal());
+  }
 
   Database db2;
   auto table2 = *db2.CreateTable("accounts", AccountSchema());
-  ASSERT_TRUE(db2.wal()->LoadFromFile(path).ok());
-  auto stats = Recovery::Restart(db2.wal(), db2.catalog());
+  auto stats =
+      Recovery::RestartDurable(db2.wal(), wal_dir.options(), db2.catalog());
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->losers, 1u);
   EXPECT_EQ(stats->undone, 2u);
@@ -305,23 +305,24 @@ TEST(RecoveryTest, RestartRebuildsCommittedStateAndUndoesLosers) {
   EXPECT_EQ(table2->Get(Row({1}))->row[1], Value(100));  // update undone
   EXPECT_FALSE(table2->Contains(Row({3})));              // insert undone
   EXPECT_EQ(table2->Get(Row({2}))->row[1], Value(200));
-  std::remove(path.c_str());
 }
 
 TEST(RecoveryTest, RestartIsIdempotent) {
-  Database db;
-  auto table = *db.CreateTable("t", AccountSchema());
-  auto t1 = db.Begin();
-  ASSERT_TRUE(db.Insert(t1, table.get(), Row({1, 10, "x"})).ok());
-  // loser
+  const morph::testing::TestWalDir wal_dir;
+  {
+    Database db;
+    ASSERT_TRUE(db.wal()->OpenDurable(wal_dir.options()).ok());
+    auto table = *db.CreateTable("t", AccountSchema());
+    auto t1 = db.Begin();
+    ASSERT_TRUE(db.Insert(t1, table.get(), Row({1, 10, "x"})).ok());
+    // loser
+    morph::testing::SyncAndCrash(db.wal());
+  }
 
   Database db2;
   auto table2 = *db2.CreateTable("t", AccountSchema());
-  const std::string path = ::testing::TempDir() + "/morph_recovery_idem.log";
-  ASSERT_TRUE(db.wal()->SaveToFile(path).ok());
-  ASSERT_TRUE(db2.wal()->LoadFromFile(path).ok());
-
-  auto s1 = Recovery::Restart(db2.wal(), db2.catalog());
+  auto s1 =
+      Recovery::RestartDurable(db2.wal(), wal_dir.options(), db2.catalog());
   ASSERT_TRUE(s1.ok());
   EXPECT_EQ(s1->losers, 1u);
   EXPECT_EQ(table2->size(), 0u);
@@ -332,12 +333,13 @@ TEST(RecoveryTest, RestartIsIdempotent) {
   ASSERT_TRUE(s2.ok());
   EXPECT_EQ(s2->losers, 0u);
   EXPECT_EQ(table2->size(), 0u);
-  std::remove(path.c_str());
 }
 
 TEST(RecoveryTest, PartialRollbackResumesViaUndoNext) {
   // Simulate a crash mid-rollback: ABORT + one CLR present, no TXN_END.
+  const morph::testing::TestWalDir wal_dir;
   Database db;
+  ASSERT_TRUE(db.wal()->OpenDurable(wal_dir.options()).ok());
   auto table = *db.CreateTable("t", AccountSchema());
   auto t = db.Begin();
   ASSERT_TRUE(db.Insert(t, table.get(), Row({1, 10, "x"})).ok());
@@ -361,18 +363,16 @@ TEST(RecoveryTest, PartialRollbackResumesViaUndoNext) {
   clr.clr_action = wal::ClrAction::kUndoInsert;
   clr.undo_next_lsn = second_insert.prev_lsn;
   db.wal()->Append(clr);
+  morph::testing::SyncAndCrash(db.wal());
 
   Database db2;
   auto table2 = *db2.CreateTable("t", AccountSchema());
-  const std::string path = ::testing::TempDir() + "/morph_recovery_partial.log";
-  ASSERT_TRUE(db.wal()->SaveToFile(path).ok());
-  ASSERT_TRUE(db2.wal()->LoadFromFile(path).ok());
-  auto stats = Recovery::Restart(db2.wal(), db2.catalog());
+  auto stats =
+      Recovery::RestartDurable(db2.wal(), wal_dir.options(), db2.catalog());
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->losers, 1u);
   EXPECT_EQ(stats->undone, 1u);  // only the first insert remains to undo
   EXPECT_EQ(table2->size(), 0u);
-  std::remove(path.c_str());
 }
 
 // --- Blocking baseline ---------------------------------------------------------------------

@@ -3,11 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 
-#include "engine/database.h"
-#include "tests/test_util.h"
+#include "common/metrics.h"
 
 namespace morph {
 namespace {
@@ -145,22 +143,147 @@ TEST_F(FailpointTest, ConfigureFromEnv) {
   unsetenv("MORPH_FAILPOINTS");
 }
 
-// End to end through a real seam: an injected error surfaces from the
-// public API, and disarming restores normal behaviour.
-TEST_F(FailpointTest, InjectedErrorSurfacesFromWalSave) {
-  engine::Database db;
-  auto r = *db.CreateTable("r", morph::testing::RSchema());
-  ASSERT_TRUE(db.BulkLoad(r.get(), {Row({1, 1, "p"})}).ok());
-  const std::string path = ::testing::TempDir() + "/morph_fp_wal.log";
-
+TEST_F(FailpointTest, EnableResetsCounters) {
+  // Arming a site zeroes its counters, so @N counts hits from the arming on,
+  // not from hits the site took while something else was armed.
   auto& fps = Failpoints::Instance();
-  fps.Error("wal.save", Status::IOError("disk on fire"));
-  const Status st = db.wal()->SaveToFile(path);
-  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  fps.SetTracing(true);
+  MORPH_FAILPOINT_VOID("fp_test.rearm");
+  MORPH_FAILPOINT_VOID("fp_test.rearm");
+  fps.SetTracing(false);
+  EXPECT_EQ(fps.hits("fp_test.rearm"), 2u);
+  fps.Error("fp_test.rearm", Status::Busy("second hit"), /*fire_on_hit=*/2);
+  EXPECT_EQ(fps.hits("fp_test.rearm"), 0u);
+  EXPECT_TRUE(fps.Evaluate("fp_test.rearm").ok());      // hit 1 since arming
+  EXPECT_TRUE(fps.Evaluate("fp_test.rearm").IsBusy());  // hit 2: fires
+  EXPECT_EQ(fps.fires("fp_test.rearm"), 1u);
+  // Re-arming zeroes the fire count too.
+  fps.Error("fp_test.rearm", Status::Busy("again"));
+  EXPECT_EQ(fps.fires("fp_test.rearm"), 0u);
+}
 
-  fps.DisableAll();
-  EXPECT_TRUE(db.wal()->SaveToFile(path).ok());
-  std::remove(path.c_str());
+// --- I/O actions -------------------------------------------------------------
+
+/// The action a hit of `name` fires (kOff if none).
+Failpoints::Action Fire(const char* name) {
+  Failpoints::Action fired = Failpoints::Action::kOff;
+  (void)Failpoints::Instance().Evaluate(name, {}, &fired);
+  return fired;
+}
+
+TEST_F(FailpointTest, FireOnHitAndMaxFires) {
+  auto& fps = Failpoints::Instance();
+  ASSERT_TRUE(
+      fps.ConfigureFromString("a.write=eio@2:transient;b.fsync=enospc*3").ok());
+
+  // @2: the first hit passes, the second fires. :transient with no *M
+  // defaults to a single fire, so the third hit passes again.
+  EXPECT_TRUE(fps.Evaluate("a.write").ok());
+  const Status st = fps.Evaluate("a.write");
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_TRUE(st.IsRetryable()) << st.ToString();
+  EXPECT_TRUE(fps.Evaluate("a.write").ok());
+  EXPECT_EQ(fps.hits("a.write"), 3u);
+  EXPECT_EQ(fps.fires("a.write"), 1u);
+
+  // *3: an ENOSPC window of exactly three fires, then clear.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(fps.Evaluate("b.fsync").IsNoSpace()) << i;
+  }
+  EXPECT_TRUE(fps.Evaluate("b.fsync").ok());
+  EXPECT_EQ(fps.fires("b.fsync"), 3u);
+
+  // A permanent eio fires on every hit and is not retryable.
+  ASSERT_TRUE(fps.ConfigureFromString("c.fsync=eio").ok());
+  for (int i = 0; i < 3; ++i) {
+    const Status perm = fps.Evaluate("c.fsync");
+    EXPECT_TRUE(perm.IsIOError()) << i;
+    EXPECT_FALSE(perm.IsRetryable()) << perm.ToString();
+  }
+
+  // Unarmed sites never fire.
+  EXPECT_EQ(Fire("c.never"), Failpoints::Action::kOff);
+}
+
+TEST_F(FailpointTest, SuffixesComposeInEitherOrder) {
+  ASSERT_TRUE(
+      Failpoints::Instance().ConfigureFromString("s=short*2@3,t=eintr@1*4").ok());
+  EXPECT_EQ(Fire("s"), Failpoints::Action::kOff);
+  EXPECT_EQ(Fire("s"), Failpoints::Action::kOff);
+  EXPECT_EQ(Fire("s"), Failpoints::Action::kShortWrite);
+  EXPECT_EQ(Fire("s"), Failpoints::Action::kShortWrite);
+  EXPECT_EQ(Fire("s"), Failpoints::Action::kOff);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(Fire("t"), Failpoints::Action::kEintr) << i;
+  }
+  EXPECT_EQ(Fire("t"), Failpoints::Action::kOff);
+}
+
+TEST_F(FailpointTest, QualifierComposesInEitherOrderWithCounts) {
+  // The suffixes compose in any order after the action: `eio:transient@2`
+  // must parse identically to `eio@2:transient`.
+  auto& fps = Failpoints::Instance();
+  ASSERT_TRUE(fps.ConfigureFromString("a=eio:transient@2").ok());
+  EXPECT_TRUE(fps.Evaluate("a").ok());
+  const Status st = fps.Evaluate("a");
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_TRUE(st.IsRetryable()) << st.ToString();
+  // The single-fire default for :transient applies in this spelling too.
+  EXPECT_TRUE(fps.Evaluate("a").ok());
+}
+
+TEST_F(FailpointTest, EintrAndShortDefaultToSingleFire) {
+  // An unbudgeted eintr would otherwise fire on every iteration of the
+  // retry loop it interrupts — an infinite spin, not "EINTR once".
+  ASSERT_TRUE(Failpoints::Instance().ConfigureFromString("e=eintr;s=short").ok());
+  EXPECT_EQ(Fire("e"), Failpoints::Action::kEintr);
+  EXPECT_EQ(Fire("e"), Failpoints::Action::kOff);
+  EXPECT_EQ(Fire("s"), Failpoints::Action::kShortWrite);
+  EXPECT_EQ(Fire("s"), Failpoints::Action::kOff);
+}
+
+TEST_F(FailpointTest, IoActionsNameSiteAndPathAndCount) {
+  auto& fps = Failpoints::Instance();
+  auto& registry = metrics::Registry::Instance();
+  const uint64_t injected = registry.CounterValue("io.faults.injected");
+  ASSERT_TRUE(fps.ConfigureFromString("io.write=eio;io.rename=short").ok());
+
+  // The injected Status names the site and the file.
+  const Status st = fps.Evaluate("io.write", "/data/seg-7.wal");
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_NE(st.ToString().find("io.write"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.ToString().find("/data/seg-7.wal"), std::string::npos)
+      << st.ToString();
+
+  // A short or eintr shot injects no Status: a site that is not a write
+  // swallows it, yet it counts as a fire.
+  Failpoints::Action fired = Failpoints::Action::kOff;
+  EXPECT_TRUE(fps.Evaluate("io.rename", "/data/x", &fired).ok());
+  EXPECT_EQ(fired, Failpoints::Action::kShortWrite);
+  EXPECT_EQ(fps.fires("io.rename"), 1u);
+  EXPECT_EQ(registry.CounterValue("io.faults.injected"), injected + 2);
+}
+
+TEST_F(FailpointTest, RejectsMalformedSpecs) {
+  auto& fps = Failpoints::Instance();
+  EXPECT_FALSE(fps.ConfigureFromString("nonsense").ok());
+  EXPECT_FALSE(fps.ConfigureFromString("x=wat").ok());
+  EXPECT_FALSE(fps.ConfigureFromString("x=eio@zz").ok());
+  EXPECT_FALSE(fps.ConfigureFromString("x=eio@0").ok());
+  EXPECT_FALSE(fps.ConfigureFromString("x=eio:sometimes").ok());
+  EXPECT_FALSE(fps.ConfigureFromString("=eio").ok());
+}
+
+TEST_F(FailpointTest, MalformedEntryArmsNothing) {
+  // A spec is applied atomically: a bad entry must not leave earlier entries
+  // armed, or MORPH_FAILPOINTS (where the error is only a warning) silently
+  // runs with a configuration that differs from what the variable says.
+  auto& fps = Failpoints::Instance();
+  EXPECT_FALSE(fps.ConfigureFromString("fp_test.c=crash;x=wat").ok());
+  EXPECT_FALSE(fps.ConfigureFromString("a.write=eio;x=eio:sometimes").ok());
+  EXPECT_FALSE(Failpoints::armed());
+  EXPECT_NO_THROW(MORPH_FAILPOINT_VOID("fp_test.c"));
+  EXPECT_TRUE(fps.Evaluate("a.write").ok());
 }
 
 }  // namespace

@@ -81,12 +81,12 @@ TEST(WorkloadTest, TableWeightsRoughlyRespected) {
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
   workload.Stop();
   size_t on_t = 0, on_dummy = 0;
-  scenario.db->wal()->Scan(1, scenario.db->wal()->LastLsn(),
-                           [&](const wal::LogRecord& rec) {
-                             if (rec.type != wal::LogRecordType::kUpdate) return;
-                             if (rec.table_id == scenario.t->id()) on_t++;
-                             if (rec.table_id == scenario.dummy->id()) on_dummy++;
-                           });
+  scenario.db->wal()->ScanChecked(1, scenario.db->wal()->LastLsn(),
+                                  [&](const wal::LogRecord& rec) {
+                                    if (rec.type != wal::LogRecordType::kUpdate) return;
+                                    if (rec.table_id == scenario.t->id()) on_t++;
+                                    if (rec.table_id == scenario.dummy->id()) on_dummy++;
+                                  });
   ASSERT_GT(on_t + on_dummy, 500u);
   const double share =
       static_cast<double>(on_t) / static_cast<double>(on_t + on_dummy);

@@ -1,7 +1,7 @@
-// The disk-fault matrix: deterministic storage faults (IoFaults, the
-// MORPH_IOFAULTS injector) crossed with the WAL's I/O sites and three
-// workloads — idle commit traffic, an FOJ transformation mid-propagation,
-// and a staggered tablet sync.
+// The disk-fault matrix: deterministic storage faults (the eio, enospc,
+// short and eintr failpoint actions) crossed with the WAL's I/O sites and
+// three workloads — idle commit traffic, an FOJ transformation
+// mid-propagation, and a staggered tablet sync.
 //
 // The contract under test:
 //
@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/io_env.h"
 #include "common/metrics.h"
 #include "engine/database.h"
@@ -45,7 +46,6 @@
 namespace morph::transform {
 namespace {
 
-using morph::IoFaults;
 using morph::testing::SortedRows;
 using morph::testing::StripedWriters;
 using morph::testing::WithCommittedUpdates;
@@ -55,127 +55,27 @@ uint64_t CounterValue(const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
-// Injector grammar
-// ---------------------------------------------------------------------------
-
-class IoFaultsGrammarTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    IoFaults::Instance().DisableAll();
-    IoFaults::Instance().ResetCounters();
-  }
-  void TearDown() override { IoFaults::Instance().DisableAll(); }
-};
-
-TEST_F(IoFaultsGrammarTest, FireOnHitAndMaxFires) {
-  ASSERT_TRUE(IoFaults::Instance()
-                  .ConfigureFromString("a.write=eio@2:transient;b.fsync=enospc*3")
-                  .ok());
-  auto& faults = IoFaults::Instance();
-
-  // @2: the first hit passes, the second fires. :transient with no *M
-  // defaults to a single fire, so the third hit passes again.
-  EXPECT_EQ(faults.Evaluate("a.write").kind, IoFaults::Kind::kOff);
-  const IoFaults::Shot shot = faults.Evaluate("a.write");
-  EXPECT_EQ(shot.kind, IoFaults::Kind::kEio);
-  EXPECT_TRUE(shot.transient);
-  EXPECT_EQ(faults.Evaluate("a.write").kind, IoFaults::Kind::kOff);
-  EXPECT_EQ(faults.hits("a.write"), 3u);
-  EXPECT_EQ(faults.fires("a.write"), 1u);
-
-  // *3: an ENOSPC window of exactly three fires, then clear.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(faults.Evaluate("b.fsync").kind, IoFaults::Kind::kEnospc) << i;
-  }
-  EXPECT_EQ(faults.Evaluate("b.fsync").kind, IoFaults::Kind::kOff);
-  EXPECT_EQ(faults.fires("b.fsync"), 3u);
-
-  // Unarmed sites never fire.
-  EXPECT_EQ(faults.Evaluate("c.never").kind, IoFaults::Kind::kOff);
-}
-
-TEST_F(IoFaultsGrammarTest, SuffixesComposeInEitherOrder) {
-  ASSERT_TRUE(
-      IoFaults::Instance().ConfigureFromString("s=short*2@3,t=eintr@1*4").ok());
-  auto& faults = IoFaults::Instance();
-  EXPECT_EQ(faults.Evaluate("s").kind, IoFaults::Kind::kOff);
-  EXPECT_EQ(faults.Evaluate("s").kind, IoFaults::Kind::kOff);
-  EXPECT_EQ(faults.Evaluate("s").kind, IoFaults::Kind::kShortWrite);
-  EXPECT_EQ(faults.Evaluate("s").kind, IoFaults::Kind::kShortWrite);
-  EXPECT_EQ(faults.Evaluate("s").kind, IoFaults::Kind::kOff);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(faults.Evaluate("t").kind, IoFaults::Kind::kEintr) << i;
-  }
-  EXPECT_EQ(faults.Evaluate("t").kind, IoFaults::Kind::kOff);
-}
-
-TEST_F(IoFaultsGrammarTest, QualifierComposesInEitherOrderWithCounts) {
-  // The grammar promises the suffixes compose in any order after the kind:
-  // `eio:transient@2` must parse identically to `eio@2:transient`.
-  ASSERT_TRUE(
-      IoFaults::Instance().ConfigureFromString("a=eio:transient@2").ok());
-  auto& faults = IoFaults::Instance();
-  EXPECT_EQ(faults.Evaluate("a").kind, IoFaults::Kind::kOff);
-  const IoFaults::Shot shot = faults.Evaluate("a");
-  EXPECT_EQ(shot.kind, IoFaults::Kind::kEio);
-  EXPECT_TRUE(shot.transient);
-  // The single-fire default for :transient applies in this spelling too.
-  EXPECT_EQ(faults.Evaluate("a").kind, IoFaults::Kind::kOff);
-}
-
-TEST_F(IoFaultsGrammarTest, EintrAndShortDefaultToSingleFire) {
-  // An unbudgeted eintr would otherwise fire on every iteration of the
-  // retry loop it interrupts — an infinite spin, not "EINTR once".
-  ASSERT_TRUE(IoFaults::Instance().ConfigureFromString("e=eintr;s=short").ok());
-  auto& faults = IoFaults::Instance();
-  EXPECT_EQ(faults.Evaluate("e").kind, IoFaults::Kind::kEintr);
-  EXPECT_EQ(faults.Evaluate("e").kind, IoFaults::Kind::kOff);
-  EXPECT_EQ(faults.Evaluate("s").kind, IoFaults::Kind::kShortWrite);
-  EXPECT_EQ(faults.Evaluate("s").kind, IoFaults::Kind::kOff);
-}
-
-TEST_F(IoFaultsGrammarTest, RejectsMalformedSpecs) {
-  auto& faults = IoFaults::Instance();
-  EXPECT_FALSE(faults.ConfigureFromString("nonsense").ok());
-  EXPECT_FALSE(faults.ConfigureFromString("x=wat").ok());
-  EXPECT_FALSE(faults.ConfigureFromString("x=eio@zz").ok());
-  EXPECT_FALSE(faults.ConfigureFromString("x=eio@0").ok());
-  EXPECT_FALSE(faults.ConfigureFromString("x=eio:sometimes").ok());
-  EXPECT_FALSE(faults.ConfigureFromString("=eio").ok());
-}
-
-TEST_F(IoFaultsGrammarTest, MalformedEntryArmsNothing) {
-  // A spec is applied atomically: a bad entry must not leave earlier entries
-  // armed, or MORPH_IOFAULTS (where the error is only a warning) silently
-  // runs with a configuration that differs from what the variable says.
-  auto& faults = IoFaults::Instance();
-  EXPECT_FALSE(faults.ConfigureFromString("a.write=eio;x=wat").ok());
-  EXPECT_FALSE(IoFaults::armed());
-  EXPECT_EQ(faults.Evaluate("a.write").kind, IoFaults::Kind::kOff);
-}
-
-// ---------------------------------------------------------------------------
 // IoFile primitives: the short-write / EINTR loops themselves
 // ---------------------------------------------------------------------------
 
 class IoFilePrimitiveTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    IoFaults::Instance().DisableAll();
-    IoFaults::Instance().ResetCounters();
+    Failpoints::Instance().DisableAll();
+    Failpoints::Instance().ResetCounters();
     path_ = ::testing::TempDir() + "/morph_iofile_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove(path_);
   }
   void TearDown() override {
-    IoFaults::Instance().DisableAll();
+    Failpoints::Instance().DisableAll();
     std::filesystem::remove(path_);
   }
   std::string path_;
 };
 
 TEST_F(IoFilePrimitiveTest, ShortWritesAreLoopedToCompletion) {
-  ASSERT_TRUE(IoFaults::Instance().ConfigureFromString("t.write=short*4").ok());
+  ASSERT_TRUE(Failpoints::Instance().ConfigureFromString("t.write=short*4").ok());
   std::string data;
   for (int i = 0; i < 100; ++i) data += "0123456789";
   {
@@ -184,14 +84,14 @@ TEST_F(IoFilePrimitiveTest, ShortWritesAreLoopedToCompletion) {
     ASSERT_TRUE((*file)->Write(data, "t.write").ok());
     ASSERT_TRUE((*file)->Sync("t.fsync").ok());
   }
-  EXPECT_EQ(IoFaults::Instance().fires("t.write"), 4u);
+  EXPECT_EQ(Failpoints::Instance().fires("t.write"), 4u);
   auto read_back = IoEnv::Default().ReadFile(path_, "t.read");
   ASSERT_TRUE(read_back.ok());
   EXPECT_EQ(*read_back, data);
 }
 
 TEST_F(IoFilePrimitiveTest, EintrIsRetriedOnWriteAndSync) {
-  ASSERT_TRUE(IoFaults::Instance()
+  ASSERT_TRUE(Failpoints::Instance()
                   .ConfigureFromString("t.write=eintr*3;t.fsync=eintr*2")
                   .ok());
   const std::string data(4096, 'x');
@@ -201,8 +101,8 @@ TEST_F(IoFilePrimitiveTest, EintrIsRetriedOnWriteAndSync) {
     ASSERT_TRUE((*file)->Write(data, "t.write").ok());
     ASSERT_TRUE((*file)->Sync("t.fsync").ok());
   }
-  EXPECT_EQ(IoFaults::Instance().fires("t.write"), 3u);
-  EXPECT_EQ(IoFaults::Instance().fires("t.fsync"), 2u);
+  EXPECT_EQ(Failpoints::Instance().fires("t.write"), 3u);
+  EXPECT_EQ(Failpoints::Instance().fires("t.fsync"), 2u);
   auto read_back = IoEnv::Default().ReadFile(path_, "t.read");
   ASSERT_TRUE(read_back.ok());
   EXPECT_EQ(*read_back, data);
@@ -212,7 +112,7 @@ TEST_F(IoFilePrimitiveTest, UnbudgetedEintrCompletesInsteadOfSpinning) {
   // Regression: without the single-fire default, the retried syscall
   // re-evaluates the same site, the fault fires again, and the writer
   // thread spins in the EINTR loop forever.
-  ASSERT_TRUE(IoFaults::Instance()
+  ASSERT_TRUE(Failpoints::Instance()
                   .ConfigureFromString("t.write=eintr;t.fsync=eintr")
                   .ok());
   const std::string data(1024, 'y');
@@ -222,8 +122,8 @@ TEST_F(IoFilePrimitiveTest, UnbudgetedEintrCompletesInsteadOfSpinning) {
     ASSERT_TRUE((*file)->Write(data, "t.write").ok());
     ASSERT_TRUE((*file)->Sync("t.fsync").ok());
   }
-  EXPECT_EQ(IoFaults::Instance().fires("t.write"), 1u);
-  EXPECT_EQ(IoFaults::Instance().fires("t.fsync"), 1u);
+  EXPECT_EQ(Failpoints::Instance().fires("t.write"), 1u);
+  EXPECT_EQ(Failpoints::Instance().fires("t.fsync"), 1u);
   auto read_back = IoEnv::Default().ReadFile(path_, "t.read");
   ASSERT_TRUE(read_back.ok());
   EXPECT_EQ(*read_back, data);
@@ -236,14 +136,14 @@ TEST_F(IoFilePrimitiveTest, UnbudgetedEintrCompletesInsteadOfSpinning) {
 class IoFaultMatrixTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    IoFaults::Instance().DisableAll();
-    IoFaults::Instance().ResetCounters();
+    Failpoints::Instance().DisableAll();
+    Failpoints::Instance().ResetCounters();
     dir_ = ::testing::TempDir() + "/morph_iofault_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override {
-    IoFaults::Instance().DisableAll();
+    Failpoints::Instance().DisableAll();
     std::filesystem::remove_all(dir_);
   }
 
@@ -296,7 +196,7 @@ void RunIdleFaultCell(const std::string& dir, const wal::WalOptions& wopts,
     ASSERT_TRUE(db.wal()->Sync(db.wal()->LastLsn()).ok());
 
     // Arm after the initial load so @N hit ordinals count from here.
-    ASSERT_TRUE(IoFaults::Instance().ConfigureFromString(spec).ok());
+    ASSERT_TRUE(Failpoints::Instance().ConfigureFromString(spec).ok());
 
     for (int i = 0; i < kIdleKeys; ++i) {
       auto t = db.Begin();
@@ -349,10 +249,10 @@ void RunIdleFaultCell(const std::string& dir, const wal::WalOptions& wopts,
         EXPECT_FALSE(db.Commit(t).ok());
       }
     }
-    EXPECT_GT(IoFaults::Instance().fires(fire_site), 0u)
+    EXPECT_GT(Failpoints::Instance().fires(fire_site), 0u)
         << "cell never reached its fault site " << fire_site;
 
-    IoFaults::Instance().DisableAll();
+    Failpoints::Instance().DisableAll();
     db.wal()->SimulateCrash();
   }
 
@@ -470,8 +370,8 @@ TEST_F(IoFaultMatrixTest, FsyncGateRepairSurvivesFailedTruncate) {
   // The flush fails, then the repair's own truncate fails once too — the
   // repair state machine must retry the truncate, not lose it.
   RunIdleFaultCell(dir_, FaultCellOptions(),
-                   "wal.fsync=eio@2:transient;wal.truncate=eio@1:transient",
-                   "wal.truncate", CellOutcome::kSurvive);
+                   "wal.fsync=eio@2:transient;wal.segment.truncate=eio@1:transient",
+                   "wal.segment.truncate", CellOutcome::kSurvive);
 }
 
 TEST_F(IoFaultMatrixTest, FsyncGateRepairRotatesSegments) {
@@ -538,7 +438,7 @@ TEST_F(IoFaultMatrixTest, EnospcStallsAdmissionAndUnwedges) {
   // fuzzy mark, which recovery skips) triggers the first failed flush;
   // wait for the stall to engage — the counter, then the admission gate
   // itself — before any transaction starts.
-  ASSERT_TRUE(IoFaults::Instance().ConfigureFromString("wal.fsync=enospc").ok());
+  ASSERT_TRUE(Failpoints::Instance().ConfigureFromString("wal.fsync=enospc").ok());
   {
     wal::LogRecord trigger;
     trigger.type = wal::LogRecordType::kFuzzyMark;
@@ -565,7 +465,7 @@ TEST_F(IoFaultMatrixTest, EnospcStallsAdmissionAndUnwedges) {
   }
 
   // Wait until the writer is demonstrably stuck in its ENOSPC retry loop.
-  while (IoFaults::Instance().fires("wal.fsync") < 3) {
+  while (Failpoints::Instance().fires("wal.fsync") < 3) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_GT(CounterValue("wal.stall.entered"), stalls_before);
@@ -604,7 +504,7 @@ TEST_F(IoFaultMatrixTest, EnospcStallsAdmissionAndUnwedges) {
   // backoff timer — the stalled commit completes durably. Truncating at the
   // log base frees nothing here (this test recovers purely from the log),
   // but exercises the exact call the real checkpointer makes.
-  IoFaults::Instance().Disable("wal.fsync");
+  Failpoints::Instance().Disable("wal.fsync");
   db.wal()->TruncateBefore(1);
   committer.join();
   gated.join();
@@ -791,7 +691,7 @@ void RunTransformFaultCell(const std::string& dir, const std::string& spec,
     ASSERT_TRUE(writers.WaitForCommits(5));
 
     // Arm once traffic is flowing, so the fault lands mid-propagation.
-    ASSERT_TRUE(IoFaults::Instance().ConfigureFromString(spec).ok());
+    ASSERT_TRUE(Failpoints::Instance().ConfigureFromString(spec).ok());
 
     FojSpec fspec;
     fspec.r_table = "r";
@@ -815,11 +715,11 @@ void RunTransformFaultCell(const std::string& dir, const std::string& spec,
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     EXPECT_TRUE(run->completed) << run->abort_reason;
     EXPECT_FALSE(db.wal_failed());
-    EXPECT_GT(IoFaults::Instance().fires(fire_site), 0u)
+    EXPECT_GT(Failpoints::Instance().fires(fire_site), 0u)
         << "cell never reached its fault site " << fire_site;
 
     committed = writers.Committed();
-    IoFaults::Instance().DisableAll();
+    Failpoints::Instance().DisableAll();
     ASSERT_TRUE(db.wal()->Sync(db.wal()->LastLsn()).ok());
     db.wal()->SimulateCrash();
   }

@@ -331,7 +331,7 @@ TEST_F(SplitRulesTest, ConsistencyCheckerUpgradesViaPropagator) {
   ASSERT_TRUE(db_.Commit(txn).ok());
   // Propagate the repair into the split tables by hand.
   bool applied = false;
-  db_.wal()->Scan(1, db_.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
+  db_.wal()->ScanChecked(1, db_.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
     if (rec.type == wal::LogRecordType::kUpdate) {
       auto op = Op::FromLogRecord(rec);
       ASSERT_TRUE(rules_->Apply(*op, nullptr).ok());
@@ -345,7 +345,7 @@ TEST_F(SplitRulesTest, ConsistencyCheckerUpgradesViaPropagator) {
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 1u);
   // ...which the propagator processes: CC_BEGIN then CC_OK, undisturbed.
-  db_.wal()->Scan(1, db_.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
+  db_.wal()->ScanChecked(1, db_.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
     if (rec.type == wal::LogRecordType::kCcBegin ||
         rec.type == wal::LogRecordType::kCcOk) {
       ASSERT_TRUE(rules_->OnControlRecord(rec).ok());
@@ -371,7 +371,7 @@ TEST_F(SplitRulesTest, DisturbedCcBracketIsDiscarded) {
   // Simulate the propagator: CC_BEGIN, then a concurrent op touching 7050,
   // then CC_OK. The bracket must be discarded.
   std::vector<wal::LogRecord> brackets;
-  db_.wal()->Scan(1, db_.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
+  db_.wal()->ScanChecked(1, db_.wal()->LastLsn(), [&](const wal::LogRecord& rec) {
     if (rec.type == wal::LogRecordType::kCcBegin ||
         rec.type == wal::LogRecordType::kCcOk) {
       brackets.push_back(rec);

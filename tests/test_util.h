@@ -1,8 +1,11 @@
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -187,6 +190,46 @@ class StripedWriters {
   std::vector<Local> locals_;
   std::vector<std::thread> threads_;
 };
+
+/// \brief A WAL directory private to the running test case: named after
+/// the suite, the case and `tag`, emptied on construction and removed on
+/// destruction. `ctest -j` runs cases as concurrent processes, so two cases
+/// sharing a directory would open each other's log.
+class TestWalDir {
+ public:
+  explicit TestWalDir(const std::string& tag = "") {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string("morph_wal_") + info->test_suite_name() +
+                       "_" + info->name() + (tag.empty() ? "" : "_" + tag);
+    for (char& c : name) {
+      if (c == '.' || c == '/') c = '_';
+    }
+    path_ = ::testing::TempDir() + "/" + name;
+    std::filesystem::remove_all(path_);
+  }
+  ~TestWalDir() { std::filesystem::remove_all(path_); }
+  TestWalDir(const TestWalDir&) = delete;
+  TestWalDir& operator=(const TestWalDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  wal::WalOptions options() const {
+    wal::WalOptions opts;
+    opts.dir = path_;
+    return opts;
+  }
+
+ private:
+  std::string path_;
+};
+
+/// \brief Simulated process death of a durable engine: makes every record
+/// logged so far durable, then abandons the writer without another flush.
+/// The log is all the next incarnation (Recovery::RestartDurable) sees.
+inline void SyncAndCrash(wal::Wal* wal) {
+  const Status st = wal->Sync(wal->LastLsn());
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  wal->SimulateCrash();
+}
 
 /// \brief Applies a StripedWriters oracle to an initial row set: for every
 /// key present in `updates`, the row's `column` is replaced by the committed

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <future>
 
 #include "common/relops.h"
@@ -23,13 +22,13 @@ using morph::testing::SortedRows;
 // exactly and the half-built target simply does not exist in the new
 // incarnation; the DBA restarts the transformation from scratch.
 TEST(TransformRecoveryTest, CrashMidTransformationRecoversSources) {
-  const std::string path =
-      ::testing::TempDir() + "/morph_transform_recovery.log";
+  const morph::testing::TestWalDir wal_dir;
 
   std::vector<Row> final_r_rows;
   std::vector<Row> final_s_rows;
   {
     engine::Database db;
+    ASSERT_TRUE(db.wal()->OpenDurable(wal_dir.options()).ok());
     auto r = *db.CreateTable("r", morph::testing::RSchema());
     auto s = *db.CreateTable("s", morph::testing::SSchema());
     std::vector<Row> r_rows, s_rows;
@@ -68,11 +67,11 @@ TEST(TransformRecoveryTest, CrashMidTransformationRecoversSources) {
     ASSERT_TRUE(
         db.Update(loser, r.get(), Row({199}), {{2, Value("uncommitted")}}).ok());
 
-    // "Crash": persist the log as-is, mid-propagation, loser still active.
-    ASSERT_TRUE(db.wal()->SaveToFile(path).ok());
+    // "Crash": mid-propagation, loser still active.
+    morph::testing::SyncAndCrash(db.wal());
 
-    // Tidy shutdown of the original incarnation (not part of the scenario).
-    ASSERT_TRUE(db.Abort(loser).ok());
+    // Join the dead incarnation's coordinator thread (not part of the
+    // scenario: nothing it does reaches the log any more).
     coord.RequestAbort();
     coord.SetSyncHold(false);
     (void)stats_f.get();
@@ -91,8 +90,8 @@ TEST(TransformRecoveryTest, CrashMidTransformationRecoversSources) {
   engine::Database db2;
   auto r2 = *db2.CreateTable("r", morph::testing::RSchema());
   auto s2 = *db2.CreateTable("s", morph::testing::SSchema());
-  ASSERT_TRUE(db2.wal()->LoadFromFile(path).ok());
-  auto stats = engine::Recovery::Restart(db2.wal(), db2.catalog());
+  auto stats = engine::Recovery::RestartDurable(db2.wal(), wal_dir.options(),
+                                                db2.catalog());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->losers, 1u);  // the uncommitted update
 
@@ -122,7 +121,6 @@ TEST(TransformRecoveryTest, CrashMidTransformationRecoversSources) {
   auto expected = Sorted(morph::FullOuterJoin(final_r_rows, 1, final_s_rows, 1,
                                               3, 3));
   EXPECT_EQ(SortedRows(*shared->target()), expected);
-  std::remove(path.c_str());
 }
 
 // The WAL can be truncated up to the propagation point while a

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
+#include "common/codec.h"
 #include "common/random.h"
 #include "engine/database.h"
 #include "engine/recovery.h"
 #include "tests/test_util.h"
 #include "wal/log_record.h"
+#include "wal/segment.h"
 #include "wal/wal.h"
 
 namespace morph::wal {
@@ -142,13 +147,16 @@ TEST_P(CodecPropertyTest, TruncationAtEveryPrefixFailsCleanly) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
-// --- torn-write tolerance of the WAL file format ---------------------------
+// --- torn-write tolerance of the segment chain ------------------------------
 //
-// The file framing ([size][checksum][payload] per record) must turn the two
-// crash artifacts a real filesystem produces — a truncated tail and garbage
-// bytes in partially-written sectors — into a clean "log ends at the last
-// valid record", never a decode of garbage and never an error for a plain
-// torn tail.
+// A crash tears only the chain's last segment, the one being appended to.
+// The segment framing ([size][checksum][payload] per record) must turn the
+// two crash artifacts a real filesystem produces there — a truncated tail
+// and garbage bytes in partially-written sectors — into a clean "log ends at
+// the last valid record", never a decode of garbage and never an error for a
+// plain torn tail.
+
+constexpr size_t kSegmentHeaderBytes = 24;
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -161,98 +169,142 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Loads `path` and asserts the result is exactly some prefix of
-/// `canonical`; returns the prefix length.
-size_t ExpectLoadsPrefix(const std::string& path,
-                         const std::vector<LogRecord>& canonical) {
-  Wal loaded;
-  const Status st = loaded.LoadFromFile(path);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  const size_t k = loaded.size();
-  EXPECT_LE(k, canonical.size());
-  size_t i = 0;
-  loaded.Scan(loaded.FirstLsn(), loaded.LastLsn(), [&](const LogRecord& rec) {
-    if (i < canonical.size()) ExpectEqual(canonical[i], rec);
-    i++;
-  });
-  EXPECT_EQ(i, k);
-  return k;
+/// The chain's last segment: the highest segment id in `dir`.
+std::string LastSegmentPath(const std::string& dir) {
+  uint64_t max_id = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("seg-", 0) == 0) {
+      max_id = std::max<uint64_t>(max_id,
+                                  std::strtoull(name.c_str() + 4, nullptr, 10));
+    }
+  }
+  return SegmentedLog::SegmentPath(dir, max_id);
 }
 
-class WalFileTornWriteTest : public ::testing::TestWithParam<uint64_t> {};
+/// Offsets in a segment file where a frame starts or the file ends cleanly:
+/// the end of the header, then the end of each frame.
+std::vector<size_t> FrameBoundaries(const std::string& bytes) {
+  std::vector<size_t> boundaries{kSegmentHeaderBytes};
+  size_t offset = kSegmentHeaderBytes;
+  while (bytes.size() - offset >= 8) {
+    codec::Reader frame{bytes, offset, false};
+    offset = frame.pos + 8 + frame.GetU32();
+    if (offset > bytes.size()) break;
+    boundaries.push_back(offset);
+  }
+  return boundaries;
+}
+
+/// A small multi-segment chain of random records, written once; each trial
+/// damages the last segment of a fresh copy and reopens it.
+class WalFileTornWriteTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  void WriteChain(Random* rng, int n) {
+    WalOptions opts = pristine_.options();
+    opts.segment_bytes = 512;
+    Wal wal;
+    ASSERT_TRUE(wal.OpenDurable(opts).ok());
+    for (int i = 0; i < n; ++i) wal.Append(RandomRecord(rng));
+    ASSERT_TRUE(wal.Sync(wal.LastLsn()).ok());
+    ASSERT_GT(wal.segmented_log()->num_segments(), 2u);
+    ASSERT_TRUE(wal.ScanChecked(1, wal.LastLsn(), [&](const LogRecord& rec) {
+                     canonical_.push_back(rec);
+                   }).ok());
+    tail_ = ReadFileBytes(LastSegmentPath(pristine_.path()));
+    boundaries_ = FrameBoundaries(tail_);
+    ASSERT_EQ(boundaries_.back(), tail_.size());
+    ASSERT_GT(boundaries_.size(), 1u);
+  }
+
+  /// Number of records before the last segment's frame `j`.
+  size_t RecordsBefore(size_t j) const {
+    return canonical_.size() - (boundaries_.size() - 1) + j;
+  }
+
+  /// Reopens a copy of the chain whose last segment holds `tail` and
+  /// expects exactly the first `expect` records back.
+  void ExpectReopensTo(const std::string& tail, size_t expect) {
+    std::filesystem::remove_all(work_.path());
+    std::filesystem::copy(pristine_.path(), work_.path());
+    WriteFileBytes(LastSegmentPath(work_.path()), tail);
+    Wal reopened;
+    const Status st = reopened.OpenDurable(work_.options());
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_EQ(reopened.size(), expect);
+    size_t i = 0;
+    ASSERT_TRUE(reopened
+                    .ScanChecked(1, reopened.LastLsn(),
+                                 [&](const LogRecord& rec) {
+                                   ExpectEqual(canonical_[i++], rec);
+                                 })
+                    .ok());
+  }
+
+  const morph::testing::TestWalDir pristine_{"pristine"};
+  const morph::testing::TestWalDir work_{"work"};
+  std::vector<LogRecord> canonical_;
+  std::string tail_;                ///< the last segment, undamaged
+  std::vector<size_t> boundaries_;  ///< its frame boundaries
+};
 
 TEST_P(WalFileTornWriteTest, TruncatedTailKeepsLongestValidPrefix) {
   Random rng(GetParam() * 104729 + 3);
-  Wal wal;
-  for (int i = 0; i < 30; ++i) wal.Append(RandomRecord(&rng));
-  std::vector<LogRecord> canonical;
-  wal.Scan(wal.FirstLsn(), wal.LastLsn(),
-           [&](const LogRecord& rec) { canonical.push_back(rec); });
+  WriteChain(&rng, 30);
 
-  const std::string path = ::testing::TempDir() + "/morph_torn_" +
-                           std::to_string(GetParam()) + ".log";
-  ASSERT_TRUE(wal.SaveToFile(path).ok());
-  const std::string bytes = ReadFileBytes(path);
-  ASSERT_FALSE(bytes.empty());
-
-  // The untouched file round-trips completely.
-  EXPECT_EQ(ExpectLoadsPrefix(path, canonical), canonical.size());
-
-  // Truncation at a sample of byte offsets: always a clean prefix, and the
-  // loaded length is monotone in the cut position.
-  size_t last_len = 0;
-  for (size_t cut = 0; cut < bytes.size(); cut += 1 + bytes.size() / 97) {
-    SCOPED_TRACE("cut=" + std::to_string(cut));
-    WriteFileBytes(path, bytes.substr(0, cut));
-    const size_t k = ExpectLoadsPrefix(path, canonical);
-    EXPECT_GE(k, last_len);
-    last_len = k;
+  // Cut at every frame boundary: exactly the frames before it survive.
+  for (size_t j = 0; j < boundaries_.size(); ++j) {
+    SCOPED_TRACE("cut at frame boundary " + std::to_string(j));
+    ExpectReopensTo(tail_.substr(0, boundaries_[j]), RecordsBefore(j));
   }
-  std::remove(path.c_str());
+  // Cut inside each frame, in its frame header and in its payload: the torn
+  // frame is dropped, everything before it survives.
+  for (size_t j = 0; j + 1 < boundaries_.size(); ++j) {
+    for (const size_t cut : {boundaries_[j] + 3,
+                             (boundaries_[j] + boundaries_[j + 1]) / 2}) {
+      SCOPED_TRACE("cut at byte " + std::to_string(cut) + " of frame " +
+                   std::to_string(j));
+      ExpectReopensTo(tail_.substr(0, cut), RecordsBefore(j));
+    }
+  }
 }
 
 TEST_P(WalFileTornWriteTest, CorruptedByteYieldsValidPrefix) {
   Random rng(GetParam() * 7907 + 11);
-  Wal wal;
-  for (int i = 0; i < 20; ++i) wal.Append(RandomRecord(&rng));
-  std::vector<LogRecord> canonical;
-  wal.Scan(wal.FirstLsn(), wal.LastLsn(),
-           [&](const LogRecord& rec) { canonical.push_back(rec); });
+  WriteChain(&rng, 30);
 
-  const std::string path = ::testing::TempDir() + "/morph_corrupt_" +
-                           std::to_string(GetParam()) + ".log";
-  ASSERT_TRUE(wal.SaveToFile(path).ok());
-  const std::string bytes = ReadFileBytes(path);
-
-  for (int trial = 0; trial < 24; ++trial) {
-    const size_t at = rng.Uniform(bytes.size());
-    std::string mutated = bytes;
+  // Flip one byte in each tail frame: its checksum (or framing) no longer
+  // matches, so replay stops there — the frames before it survive, nothing
+  // past the damage is ever decoded.
+  for (size_t j = 0; j + 1 < boundaries_.size(); ++j) {
+    const size_t at =
+        boundaries_[j] + rng.Uniform(boundaries_[j + 1] - boundaries_[j]);
+    std::string mutated = tail_;
     mutated[at] = static_cast<char>(mutated[at] ^
                                     static_cast<char>(1 + rng.Uniform(255)));
-    SCOPED_TRACE("flip at byte " + std::to_string(at));
-    WriteFileBytes(path, mutated);
-    // The flip lands in some frame i: its checksum (or framing) no longer
-    // matches, so loading stops there — records 0..i-1 survive, nothing
-    // past the damage is ever decoded.
-    ExpectLoadsPrefix(path, canonical);
+    SCOPED_TRACE("flip at byte " + std::to_string(at) + " of frame " +
+                 std::to_string(j));
+    ExpectReopensTo(mutated, RecordsBefore(j));
   }
-  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WalFileTornWriteTest,
                          ::testing::Values(1, 2, 3));
 
-// Restart recovery on a torn log: whatever committed prefix survives, the
+// Restart recovery on a torn chain: whatever committed prefix survives, the
 // recovered state is consistent, and recovery stays idempotent.
 TEST(WalFileTornWriteTest, RecoveryOnTruncatedLogConverges) {
-  const std::string path =
-      ::testing::TempDir() + "/morph_torn_recovery.log";
+  const morph::testing::TestWalDir pristine("pristine");
+  const morph::testing::TestWalDir work("work");
+  WalOptions opts = pristine.options();
+  opts.segment_bytes = 512;
   std::vector<Row> initial;
   for (int i = 0; i < 30; ++i) {
     initial.push_back(Row({i, static_cast<int64_t>(i), "p"}));
   }
   {
     engine::Database db;
+    ASSERT_TRUE(db.wal()->OpenDurable(opts).ok());
     auto r = *db.CreateTable("r", morph::testing::RSchema());
     ASSERT_TRUE(db.BulkLoad(r.get(), initial).ok());
     for (int i = 0; i < 10; ++i) {
@@ -264,19 +316,24 @@ TEST(WalFileTornWriteTest, RecoveryOnTruncatedLogConverges) {
     auto loser = db.Begin();
     ASSERT_TRUE(
         db.Update(loser, r.get(), Row({29}), {{2, Value("x")}}).ok());
-    ASSERT_TRUE(db.wal()->SaveToFile(path).ok());
-    ASSERT_TRUE(db.Abort(loser).ok());
+    morph::testing::SyncAndCrash(db.wal());
   }
-  const std::string bytes = ReadFileBytes(path);
+  const std::string tail = ReadFileBytes(LastSegmentPath(pristine.path()));
+  ASSERT_GT(tail.size(), kSegmentHeaderBytes);
 
-  for (double frac : {0.55, 0.8, 0.95, 1.0}) {
-    const size_t cut = static_cast<size_t>(frac * bytes.size());
+  for (double frac : {0.0, 0.55, 0.8, 0.95, 1.0}) {
+    const size_t cut =
+        kSegmentHeaderBytes +
+        static_cast<size_t>(frac * static_cast<double>(tail.size() -
+                                                       kSegmentHeaderBytes));
     SCOPED_TRACE("cut=" + std::to_string(cut));
-    WriteFileBytes(path, bytes.substr(0, cut));
+    std::filesystem::remove_all(work.path());
+    std::filesystem::copy(pristine.path(), work.path());
+    WriteFileBytes(LastSegmentPath(work.path()), tail.substr(0, cut));
     engine::Database db2;
     auto r2 = *db2.CreateTable("r", morph::testing::RSchema());
-    ASSERT_TRUE(db2.wal()->LoadFromFile(path).ok());
-    auto stats = engine::Recovery::Restart(db2.wal(), db2.catalog());
+    auto stats = engine::Recovery::RestartDurable(db2.wal(), work.options(),
+                                                  db2.catalog());
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     // Update-only traffic: the row set never changes, only images do, and
     // every image is either pristine or a committed update.
@@ -294,7 +351,6 @@ TEST(WalFileTornWriteTest, RecoveryOnTruncatedLogConverges) {
     EXPECT_EQ(stats2->losers, 0u);
     EXPECT_EQ(db2.wal()->size(), wal_size);
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Regression tests for the WAL-truncation / online-transformation interplay:
 // log-archiving housekeeping (a fuzzy checkpoint followed by
 // Wal::TruncateBefore) used to be able to truncate records the running
-// transformation had not propagated yet. Wal::Scan silently clamps its start
-// to the retained prefix, so the lost records were skipped without any
-// error and the transformed table silently diverged from its sources. The
-// fix is the retention-pin mechanism: TruncateBefore clamps below every
+// transformation had not propagated yet. The log scan then silently clamped
+// its start to the retained prefix, so the lost records were skipped without
+// any error and the transformed table silently diverged from its sources.
+// The fix is the retention-pin mechanism: TruncateBefore clamps below every
 // registered pin, and TransformCoordinator::Run pins its propagation
 // watermark for the whole run.
 
@@ -70,28 +70,31 @@ TEST(WalRetentionPinTest, InvalidLsnPinDoesNotConstrain) {
 
 // Regression (LSN reuse): a checkpoint that truncates the WHOLE log (no
 // active transformation, quiescent engine) used to lose base_lsn_ across a
-// save/load round trip — the reloaded log reset to base 1 and re-issued
-// already-consumed LSNs, corrupting every consumer that keys state by LSN
-// (propagated_lsn() bookkeeping, checkpoint guard horizons). The save format
-// now persists the base LSN in a header.
+// restart — the reloaded log reset to base 1 and re-issued already-consumed
+// LSNs, corrupting every consumer that keys state by LSN (propagated_lsn()
+// bookkeeping, checkpoint guard horizons). The segment chain's manifest
+// persists the base LSN, through a crash as through a clean shutdown.
 TEST(WalRetentionPinTest, FullTruncationSurvivesSaveLoadWithoutLsnReuse) {
-  const std::string path =
-      ::testing::TempDir() + "/morph_retention_baselsn.log";
-  wal::Wal wal;
-  for (int i = 0; i < 30; ++i) wal.Append(wal::LogRecord{});  // LSNs 1..30
-  wal.TruncateBefore(31);  // checkpoint consumed everything
-  ASSERT_EQ(wal.size(), 0u);
-  ASSERT_TRUE(wal.SaveToFile(path).ok());
+  const morph::testing::TestWalDir wal_dir;
+  {
+    wal::Wal wal;
+    ASSERT_TRUE(wal.OpenDurable(wal_dir.options()).ok());
+    for (int i = 0; i < 30; ++i) wal.Append(wal::LogRecord{});  // LSNs 1..30
+    // Sync first: truncation never passes the durable horizon.
+    ASSERT_TRUE(wal.Sync(wal.LastLsn()).ok());
+    wal.TruncateBefore(31);  // checkpoint consumed everything
+    ASSERT_EQ(wal.size(), 0u);
+    wal.SimulateCrash();
+  }
 
   wal::Wal reloaded;
-  ASSERT_TRUE(reloaded.LoadFromFile(path).ok());
+  ASSERT_TRUE(reloaded.OpenDurable(wal_dir.options()).ok());
   EXPECT_EQ(reloaded.FirstLsn(), 31u);
   EXPECT_EQ(reloaded.LastLsn(), 30u);
   // The next append must continue the LSN space, not restart at 1: a
   // propagator watermark of (say) 30 would otherwise be "ahead" of brand-new
   // records and propagation would skip them forever.
   EXPECT_EQ(reloaded.Append(wal::LogRecord{}), 31u);
-  std::filesystem::remove(path);
 }
 
 // --- The end-to-end regression ---------------------------------------------
@@ -108,7 +111,9 @@ struct FojFixture {
   std::shared_ptr<storage::Table> r, s;
   std::shared_ptr<FojRules> rules;
 
-  explicit FojFixture(const std::string& target = "t") {
+  /// In memory, or over the durable WAL `durable` when given.
+  explicit FojFixture(const wal::WalOptions* durable = nullptr) {
+    if (durable != nullptr) EXPECT_TRUE(db.wal()->OpenDurable(*durable).ok());
     r = *db.CreateTable("r", morph::testing::RSchema());
     s = *db.CreateTable("s", morph::testing::SSchema());
     std::vector<Row> r_rows, s_rows;
@@ -124,7 +129,7 @@ struct FojFixture {
     spec.s_table = "s";
     spec.r_join_column = "jv";
     spec.s_join_column = "jv";
-    spec.target_table = target;
+    spec.target_table = "t";
     auto made = FojRules::Make(&db, spec);
     EXPECT_TRUE(made.ok());
     rules = std::shared_ptr<FojRules>(std::move(made).ValueOrDie());
@@ -221,7 +226,9 @@ TEST(WalRetentionIntegrationTest, CheckpointTruncationDuringPropagation) {
 
 TEST(WalRetentionIntegrationTest, CrashAfterInterleavedCheckpointRecovers) {
   const std::string dir = FreshDir("crash");
-  FojFixture fx;
+  const morph::testing::TestWalDir wal_dir;
+  const wal::WalOptions wopts = wal_dir.options();
+  FojFixture fx(&wopts);
   {
     TransformCoordinator coord(&fx.db, fx.rules, SlowPropagationConfig());
     coord.SetSyncHold(true);
@@ -247,10 +254,9 @@ TEST(WalRetentionIntegrationTest, CrashAfterInterleavedCheckpointRecovers) {
     Failpoints::Instance().DisableAll();
   }
 
-  // "The log was durable": persist the surviving WAL, restart from the
-  // checkpoint, and verify every committed pre-crash update is back.
-  const std::string wal_path = dir + "/wal.log";
-  ASSERT_TRUE(fx.db.wal()->SaveToFile(wal_path).ok());
+  // Process death: only the durable log and the checkpoint survive. Restart
+  // from the checkpoint and verify every committed pre-crash update is back.
+  morph::testing::SyncAndCrash(fx.db.wal());
 
   engine::Database db2;
   auto r2 = *db2.CreateTable("r", morph::testing::RSchema());
@@ -260,7 +266,7 @@ TEST(WalRetentionIntegrationTest, CrashAfterInterleavedCheckpointRecovers) {
   auto t_live = fx.db.catalog()->GetByName("t");
   ASSERT_NE(t_live, nullptr);
   ASSERT_TRUE(db2.CreateTable("t", t_live->schema()).ok());
-  ASSERT_TRUE(db2.wal()->LoadFromFile(wal_path).ok());
+  ASSERT_TRUE(db2.wal()->OpenDurable(wopts).ok());
   auto restore = engine::Checkpointer::Restore(dir, db2.wal(), db2.catalog());
   ASSERT_TRUE(restore.ok()) << restore.status().ToString();
   EXPECT_EQ(SortedRows(*r2), SortedRows(*fx.r));

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/failpoint.h"
-#include "common/io_env.h"
 #include "engine/database.h"
 #include "tests/test_util.h"
 #include "wal/log_record.h"
@@ -42,7 +41,6 @@ class WalSegmentTest : public ::testing::Test {
   }
   void TearDown() override {
     Failpoints::Instance().DisableAll();
-    IoFaults::Instance().DisableAll();
     std::filesystem::remove_all(dir_);
   }
 
@@ -228,10 +226,13 @@ TEST_F(WalSegmentTest, TornTailAtChainEndIsTrimmed) {
   EXPECT_LT(reloaded.LastLsn(), 100u);
   EXPECT_GT(reloaded.size(), 0u);
   Lsn prev = 0;
-  reloaded.Scan(1, reloaded.LastLsn(), [&](const LogRecord& rec) {
-    EXPECT_EQ(rec.lsn, prev + 1);
-    prev = rec.lsn;
-  });
+  ASSERT_TRUE(reloaded
+                  .ScanChecked(1, reloaded.LastLsn(),
+                               [&](const LogRecord& rec) {
+                                 EXPECT_EQ(rec.lsn, prev + 1);
+                                 prev = rec.lsn;
+                               })
+                  .ok());
 }
 
 TEST_F(WalSegmentTest, TornTailSpanningSegmentBoundaryIsTrimmedToBoundary) {
@@ -264,10 +265,13 @@ TEST_F(WalSegmentTest, TornTailSpanningSegmentBoundaryIsTrimmedToBoundary) {
   EXPECT_GT(tail, 0u);
   // Contiguous prefix up to the boundary, appends continue after it.
   Lsn prev = 0;
-  reloaded.Scan(1, tail, [&](const LogRecord& rec) {
-    EXPECT_EQ(rec.lsn, prev + 1);
-    prev = rec.lsn;
-  });
+  ASSERT_TRUE(reloaded
+                  .ScanChecked(1, tail,
+                               [&](const LogRecord& rec) {
+                                 EXPECT_EQ(rec.lsn, prev + 1);
+                                 prev = rec.lsn;
+                               })
+                  .ok());
   EXPECT_EQ(prev, tail);
   EXPECT_EQ(reloaded.Append(MakeInsert(2, 1, 0)), tail + 1);
 }
@@ -446,7 +450,7 @@ TEST_F(WalSegmentTest, PermanentFlushFailureIsFinal) {
     ASSERT_TRUE(wal.OpenDurable(SmallSegments()).ok());
     wal.Append(MakeInsert(1, 1, 0));
     ASSERT_TRUE(wal.Sync(wal.LastLsn()).ok());
-    ASSERT_TRUE(IoFaults::Instance().ConfigureFromString("wal.fsync=eio").ok());
+    ASSERT_TRUE(Failpoints::Instance().ConfigureFromString("wal.fsync=eio").ok());
     doomed = wal.Append(MakeInsert(1, 1, 1));
     const Status halt = wal.Sync(doomed);
     ASSERT_FALSE(halt.ok());
@@ -455,7 +459,7 @@ TEST_F(WalSegmentTest, PermanentFlushFailureIsFinal) {
     for (int i = 2; i < 40; ++i) wal.Append(MakeInsert(1, 1, i));
     EXPECT_FALSE(wal.Sync(wal.LastLsn()).ok());
     wal.SimulateCrash();
-    IoFaults::Instance().DisableAll();
+    Failpoints::Instance().DisableAll();
   }
   Wal reloaded;
   const Status open = reloaded.OpenDurable(SmallSegments());
@@ -481,17 +485,17 @@ TEST_F(WalSegmentTest, ShortWritesAndEintrAcrossRotationsAreInvisible) {
   {
     Wal wal;
     ASSERT_TRUE(wal.OpenDurable(SmallSegments()).ok());
-    ASSERT_TRUE(IoFaults::Instance().ConfigureFromString(kSpec).ok());
+    ASSERT_TRUE(Failpoints::Instance().ConfigureFromString(kSpec).ok());
     for (int i = 0; i < 200; ++i) wal.Append(MakeInsert(1, 1, i));
     ASSERT_TRUE(wal.Sync(wal.LastLsn()).ok());
     ASSERT_GT(wal.segmented_log()->num_segments(), 3u);
     // Each injected site must actually have fired — a spec that never
     // reaches its site proves nothing.
-    EXPECT_GT(IoFaults::Instance().fires("wal.write"), 0u);
-    EXPECT_GT(IoFaults::Instance().fires("wal.header.write"), 0u);
-    EXPECT_GT(IoFaults::Instance().fires("wal.manifest.write"), 0u);
-    EXPECT_GT(IoFaults::Instance().fires("wal.fsync"), 0u);
-    IoFaults::Instance().DisableAll();
+    EXPECT_GT(Failpoints::Instance().fires("wal.write"), 0u);
+    EXPECT_GT(Failpoints::Instance().fires("wal.header.write"), 0u);
+    EXPECT_GT(Failpoints::Instance().fires("wal.manifest.write"), 0u);
+    EXPECT_GT(Failpoints::Instance().fires("wal.fsync"), 0u);
+    Failpoints::Instance().DisableAll();
   }
   Wal reloaded;
   ASSERT_TRUE(reloaded.OpenDurable(SmallSegments()).ok());
@@ -528,16 +532,16 @@ TEST_F(WalSegmentTest, RepairCullRewritesManifestBeforeMovingFiles) {
     // leaves the truncated stub empty and culls it together with the empty
     // restart segment; the permanent manifest fault then fails the repair's
     // manifest rewrite mid-cull and halts the writer.
-    ASSERT_TRUE(IoFaults::Instance()
+    ASSERT_TRUE(Failpoints::Instance()
                     .ConfigureFromString(
                         "wal.fsync=eio:transient;wal.manifest.write=eio")
                     .ok());
     wal.Append(MakeInsert(1, 1, 100));
     const Status st = wal.Sync(wal.LastLsn());
     EXPECT_FALSE(st.ok());
-    EXPECT_GT(IoFaults::Instance().fires("wal.fsync"), 0u);
-    EXPECT_GT(IoFaults::Instance().fires("wal.manifest.write"), 0u);
-    IoFaults::Instance().DisableAll();
+    EXPECT_GT(Failpoints::Instance().fires("wal.fsync"), 0u);
+    EXPECT_GT(Failpoints::Instance().fires("wal.manifest.write"), 0u);
+    Failpoints::Instance().DisableAll();
     wal.SimulateCrash();
   }
   // Every file the on-disk manifest lists must still be where the manifest
@@ -590,12 +594,6 @@ TEST_F(WalSegmentTest, OpenDurableRejectsUsedWal) {
   Wal wal;
   wal.Append(MakeInsert(1, 1, 1));
   EXPECT_TRUE(wal.OpenDurable(WalOptions{dir_}).IsInvalidArgument());
-}
-
-TEST_F(WalSegmentTest, LoadFromFileRejectedInDurableMode) {
-  Wal wal;
-  ASSERT_TRUE(wal.OpenDurable(WalOptions{dir_}).ok());
-  EXPECT_TRUE(wal.LoadFromFile(dir_ + "/nope").IsInvalidArgument());
 }
 
 }  // namespace

@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <thread>
 
-#include "common/failpoint.h"
+#include "tests/test_util.h"
 #include "wal/log_record.h"
-#include "wal/segment.h"
 #include "wal/wal.h"
 
 namespace morph::wal {
@@ -47,10 +44,11 @@ TEST(WalTest, ScanVisitsRangeInOrder) {
   Wal wal;
   for (int i = 0; i < 1000; ++i) wal.Append(MakeInsert(1, 1, i));
   std::vector<Lsn> seen;
-  const Lsn last = wal.Scan(10, 500, [&](const LogRecord& rec) {
+  auto last = wal.ScanChecked(10, 500, [&](const LogRecord& rec) {
     seen.push_back(rec.lsn);
   });
-  EXPECT_EQ(last, 500u);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(*last, 500u);
   ASSERT_EQ(seen.size(), 491u);
   EXPECT_EQ(seen.front(), 10u);
   EXPECT_EQ(seen.back(), 500u);
@@ -61,14 +59,16 @@ TEST(WalTest, ScanClampsToEnd) {
   Wal wal;
   wal.Append(MakeInsert(1, 1, 1));
   size_t n = 0;
-  wal.Scan(1, 1000000, [&](const LogRecord&) { n++; });
+  ASSERT_TRUE(wal.ScanChecked(1, 1000000, [&](const LogRecord&) { n++; }).ok());
   EXPECT_EQ(n, 1u);
 }
 
 TEST(WalTest, ScanEmptyRange) {
   Wal wal;
   size_t n = 0;
-  EXPECT_EQ(wal.Scan(1, 100, [&](const LogRecord&) { n++; }), kInvalidLsn);
+  auto last = wal.ScanChecked(1, 100, [&](const LogRecord&) { n++; });
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(*last, kInvalidLsn);
   EXPECT_EQ(n, 0u);
 }
 
@@ -83,9 +83,14 @@ TEST(WalTest, TruncateBeforeDropsPrefix) {
   EXPECT_EQ(wal.At(50)->lsn, 50u);
   // LSNs keep rising after truncation.
   EXPECT_EQ(wal.Append(MakeInsert(1, 1, 200)), 101u);
-  // Scans skip the dropped prefix.
+  // A scan over the dropped prefix reports the gap; from FirstLsn() on, it
+  // sees the rest.
   size_t n = 0;
-  wal.Scan(1, 101, [&](const LogRecord&) { n++; });
+  EXPECT_TRUE(wal.ScanChecked(1, 101, [&](const LogRecord&) { n++; })
+                  .status()
+                  .IsCorruption());
+  EXPECT_EQ(n, 0u);
+  ASSERT_TRUE(wal.ScanChecked(wal.FirstLsn(), 101, [&](const LogRecord&) { n++; }).ok());
   EXPECT_EQ(n, 52u);
 }
 
@@ -117,7 +122,7 @@ TEST(WalTest, ScannerRunsConcurrentlyWithAppender) {
   // Repeatedly scan whatever is visible; must never crash or see gaps.
   for (int round = 0; round < 20; ++round) {
     Lsn prev = 0;
-    wal.Scan(1, wal.LastLsn(), [&](const LogRecord& rec) {
+    wal.ScanChecked(1, wal.LastLsn(), [&](const LogRecord& rec) {
       EXPECT_EQ(rec.lsn, prev + 1);
       prev = rec.lsn;
       total++;
@@ -199,14 +204,17 @@ TEST(LogRecordTest, DecodeSequence) {
   EXPECT_EQ(n, 10);
 }
 
+// What one incarnation synced, the next replays, whether it died or shut
+// down cleanly.
 TEST(WalTest, SaveAndLoadFileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/morph_wal_test.log";
+  const morph::testing::TestWalDir wal_dir;
   Wal wal;
+  ASSERT_TRUE(wal.OpenDurable(wal_dir.options()).ok());
   for (int i = 0; i < 500; ++i) wal.Append(MakeInsert(i % 7, 1, i));
-  ASSERT_TRUE(wal.SaveToFile(path).ok());
+  morph::testing::SyncAndCrash(&wal);
 
   Wal loaded;
-  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
+  ASSERT_TRUE(loaded.OpenDurable(wal_dir.options()).ok());
   EXPECT_EQ(loaded.size(), wal.size());
   EXPECT_EQ(loaded.LastLsn(), wal.LastLsn());
   auto a = wal.At(250);
@@ -215,12 +223,6 @@ TEST(WalTest, SaveAndLoadFileRoundTrip) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->key, b->key);
   EXPECT_EQ(a->txn_id, b->txn_id);
-  std::remove(path.c_str());
-}
-
-TEST(WalTest, LoadMissingFileFails) {
-  Wal wal;
-  EXPECT_TRUE(wal.LoadFromFile("/nonexistent/path/wal.log").IsIOError());
 }
 
 // Regression (doc/behavior mismatch): LastLsn() means "last *assigned* LSN".
@@ -240,73 +242,31 @@ TEST(WalTest, LastLsnContractAfterFullTruncation) {
   EXPECT_EQ(wal.Append(MakeInsert(1, 1, 99)), 11u);
 }
 
-// Regression (non-atomic save): a crash mid-save must leave the previous
-// good file intact. SaveToFile writes a temp file and renames; the
-// wal.save.before_rename failpoint crashes in the widest window — after the
-// bytes are written, before the rename — and the old file must survive.
-TEST(WalTest, CrashDuringSaveLeavesOldFileIntact) {
-  const std::string path = ::testing::TempDir() + "/morph_wal_atomic.log";
-  Wal wal;
-  for (int i = 0; i < 50; ++i) wal.Append(MakeInsert(1, 1, i));
-  ASSERT_TRUE(wal.SaveToFile(path).ok());
-
-  for (int i = 50; i < 80; ++i) wal.Append(MakeInsert(1, 1, i));
-  Failpoints::Instance().Crash("wal.save.before_rename");
-  EXPECT_THROW((void)wal.SaveToFile(path), CrashException);
-  Failpoints::Instance().DisableAll();
-
-  // The old 50-record file is untouched by the crashed save.
-  Wal survivor;
-  ASSERT_TRUE(survivor.LoadFromFile(path).ok());
-  EXPECT_EQ(survivor.size(), 50u);
-  EXPECT_EQ(survivor.LastLsn(), 50u);
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-}
-
-// Regression (LSN reuse): an empty (fully truncated) log must round-trip
-// through save/load without resetting its LSN space — the header persists
-// the base LSN.
+// Regression (LSN reuse): an empty (fully truncated) log must survive a
+// crash without resetting its LSN space — the manifest persists the base
+// LSN.
 TEST(WalTest, EmptyLogRoundTripPreservesBaseLsn) {
-  const std::string path = ::testing::TempDir() + "/morph_wal_base.log";
+  const morph::testing::TestWalDir wal_dir;
   Wal wal;
+  ASSERT_TRUE(wal.OpenDurable(wal_dir.options()).ok());
   for (int i = 0; i < 20; ++i) wal.Append(MakeInsert(1, 1, i));
+  // Sync first: truncation never passes the durable horizon.
+  ASSERT_TRUE(wal.Sync(wal.LastLsn()).ok());
   wal.TruncateBefore(21);
   ASSERT_EQ(wal.size(), 0u);
-  ASSERT_TRUE(wal.SaveToFile(path).ok());
+  wal.SimulateCrash();
 
   Wal loaded;
-  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
+  ASSERT_TRUE(loaded.OpenDurable(wal_dir.options()).ok());
   EXPECT_EQ(loaded.size(), 0u);
   EXPECT_EQ(loaded.FirstLsn(), 21u);
   EXPECT_EQ(loaded.LastLsn(), 20u);
   // The recovered engine must NOT re-issue consumed LSNs.
   EXPECT_EQ(loaded.Append(MakeInsert(1, 1, 7)), 21u);
-  std::remove(path.c_str());
 }
 
-// Legacy headerless files (no magic) still load.
-TEST(WalTest, LoadLegacyHeaderlessFile) {
-  const std::string path = ::testing::TempDir() + "/morph_wal_legacy.log";
-  {
-    // Hand-write the legacy format: frames only, no header.
-    Wal wal;
-    for (int i = 0; i < 5; ++i) wal.Append(MakeInsert(1, 1, i));
-    std::string buf;
-    wal.Scan(1, 5, [&](const LogRecord& rec) { AppendFrame(&buf, rec); });
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  }
-  Wal loaded;
-  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
-  EXPECT_EQ(loaded.size(), 5u);
-  EXPECT_EQ(loaded.FirstLsn(), 1u);
-  std::remove(path.c_str());
-}
-
-// Regression (silent gap skip): the checked scans report Corruption when a
-// pin-less truncate has raced past the reader instead of skipping the
-// dropped range.
+// Regression (silent gap skip): the scan reports Corruption when a pin-less
+// truncate has raced past the reader instead of skipping the dropped range.
 TEST(WalTest, ScanCheckedDetectsGapFromTruncation) {
   Wal wal;
   for (int i = 0; i < 100; ++i) wal.Append(MakeInsert(1, 1, i));
@@ -328,17 +288,11 @@ TEST(WalTest, ScanCheckedDetectsGapFromTruncation) {
   EXPECT_TRUE(resumed.status().IsCorruption()) << resumed.status().ToString();
   EXPECT_EQ(seen, 0u);
 
-  // From the surviving range the checked scan behaves like Scan.
+  // From the surviving range the scan reads on.
   auto ok = wal.ScanChecked(50, 100, [&](const LogRecord&) { seen++; });
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(*ok, 100u);
   EXPECT_EQ(seen, 51u);
-
-  // The unchecked Scan keeps its documented skip-the-prefix behavior.
-  size_t skipped_scan = 0;
-  EXPECT_EQ(wal.Scan(11, 100, [&](const LogRecord&) { skipped_scan++; }),
-            100u);
-  EXPECT_EQ(skipped_scan, 51u);
 }
 
 TEST(LogRecordTest, ToStringIsInformative) {
