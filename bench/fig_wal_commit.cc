@@ -13,6 +13,11 @@
 // commits/sec, flush counts and the group-vs-per-append speedup per width.
 // The interesting row is 8 committers: batching should win by well over 2×
 // because eight concurrent commits collapse into one buffered write+flush.
+//
+// A third cell, under the top-level key "multi_record", shapes commits like
+// the engine's: 3 committers, each commit 10 appends then one Sync. The
+// writer flushes only when a commit waits, so its flushes_per_commit is at
+// most 1 however many records a commit stages.
 // `--quick` (or MORPH_BENCH_QUICK=1) shrinks the sweep to {1, 8} with fewer
 // commits per thread — same output schema, CI-smoke sized.
 
@@ -70,6 +75,7 @@ struct CellResult {
   double commits_per_sec = 0;
   uint64_t flushes = 0;
   double avg_batch = 0;
+  double flushes_per_commit = 0;
 };
 
 /// Per-append flush: each commit takes the log mutex, stages exactly its own
@@ -133,9 +139,11 @@ CellResult RunPerAppendFlush(const std::string& dir, size_t committers,
 }
 
 /// Group commit: the engine path — Append stages, Sync blocks on the durable
-/// horizon, the writer thread batches everything staged in between.
+/// horizon, the writer thread batches everything staged in between. Each
+/// commit appends `records_per_commit` records and syncs the last one.
 CellResult RunGroupCommit(const std::string& dir, size_t committers,
-                          size_t commits_per_thread) {
+                          size_t commits_per_thread,
+                          size_t records_per_commit = 1) {
   std::filesystem::remove_all(dir);
   Wal wal;
   WalOptions opts;
@@ -157,7 +165,10 @@ CellResult RunGroupCommit(const std::string& dir, size_t committers,
   for (size_t t = 0; t < committers; ++t) {
     threads.emplace_back([&, t] {
       for (size_t i = 0; i < commits_per_thread && !failed.load(); ++i) {
-        const Lsn lsn = wal.Append(MakeRecord(t + 1, static_cast<int64_t>(i)));
+        Lsn lsn = 0;
+        for (size_t k = 0; k < records_per_commit; ++k) {
+          lsn = wal.Append(MakeRecord(t + 1, static_cast<int64_t>(i)));
+        }
         if (!wal.Sync(lsn).ok()) {
           failed.store(true);
           return;
@@ -181,8 +192,25 @@ CellResult RunGroupCommit(const std::string& dir, size_t committers,
   r.commits_per_sec = commits / seconds;
   r.flushes = registry.CounterValue("wal.group_commit.flushes") - flushes_before;
   r.avg_batch = r.flushes > 0 ? commits / static_cast<double>(r.flushes) : 0;
+  r.flushes_per_commit = static_cast<double>(r.flushes) / commits;
   std::filesystem::remove_all(dir);
   return r;
+}
+
+/// Runs `reps` repetitions of one group-commit cell; the result carries the
+/// median rate and the last repetition's flush counts.
+CellResult MedianGroupCommit(const std::string& dir, size_t committers,
+                             size_t commits_per_thread, int reps,
+                             size_t records_per_commit = 1) {
+  CellResult cell;
+  std::vector<double> rates;
+  for (int rep = 0; rep < reps; ++rep) {
+    cell = RunGroupCommit(dir, committers, commits_per_thread,
+                          records_per_commit);
+    rates.push_back(cell.commits_per_sec);
+  }
+  cell.commits_per_sec = MedianOf(rates);
+  return cell;
 }
 
 }  // namespace
@@ -213,7 +241,7 @@ int main(int argc, char** argv) {
   std::vector<CellResult> results;
   double speedup_at_8 = 0;
   for (size_t committers : widths) {
-    CellResult per_append, group;
+    CellResult per_append;
     {
       std::vector<double> rates;
       for (int rep = 0; rep < reps; ++rep) {
@@ -222,14 +250,8 @@ int main(int argc, char** argv) {
       }
       per_append.commits_per_sec = MedianOf(rates);
     }
-    {
-      std::vector<double> rates;
-      for (int rep = 0; rep < reps; ++rep) {
-        group = RunGroupCommit(dir, committers, commits_per_thread);
-        rates.push_back(group.commits_per_sec);
-      }
-      group.commits_per_sec = MedianOf(rates);
-    }
+    const CellResult group =
+        MedianGroupCommit(dir, committers, commits_per_thread, reps);
     const double speedup = per_append.commits_per_sec > 0
                                ? group.commits_per_sec / per_append.commits_per_sec
                                : 0;
@@ -245,6 +267,19 @@ int main(int argc, char** argv) {
     results.push_back(per_append);
     results.push_back(group);
   }
+
+  constexpr size_t kMultiCommitters = 3;
+  constexpr size_t kRecordsPerCommit = 10;
+  const CellResult multi = MedianGroupCommit(
+      dir, kMultiCommitters, commits_per_thread, reps, kRecordsPerCommit);
+  std::printf("\nmulti-record commits: %zu committers, %zu appends + 1 Sync "
+              "per commit\n",
+              kMultiCommitters, kRecordsPerCommit);
+  std::printf("%16s %10s %18s\n", "commits_per_sec", "flushes",
+              "flushes_per_commit");
+  std::printf("%16.0f %10llu %18.3f\n", multi.commits_per_sec,
+              static_cast<unsigned long long>(multi.flushes),
+              multi.flushes_per_commit);
 
   const char* json_path = "BENCH_wal_commit.json";
   if (std::FILE* f = std::fopen(json_path, "w")) {
@@ -266,7 +301,13 @@ int main(int argc, char** argv) {
                    i ? "," : "", r.committers, r.mode, r.commits_per_sec,
                    static_cast<unsigned long long>(r.flushes), r.avg_batch);
     }
-    std::fprintf(f, "\n  ]\n}\n");
+    std::fprintf(f,
+                 "\n  ],\n  \"multi_record\": {\"committers\": %zu, "
+                 "\"records_per_commit\": %zu, \"commits_per_sec\": %.0f, "
+                 "\"flushes\": %llu, \"flushes_per_commit\": %.3f}\n}\n",
+                 kMultiCommitters, kRecordsPerCommit, multi.commits_per_sec,
+                 static_cast<unsigned long long>(multi.flushes),
+                 multi.flushes_per_commit);
     std::fclose(f);
     std::printf("wrote %s\n", json_path);
   }

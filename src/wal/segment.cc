@@ -506,15 +506,16 @@ void SegmentedLog::Abandon() {
   open_ = false;
 }
 
-Status SegmentedLog::Flush() {
+Result<Lsn> SegmentedLog::Flush() {
   std::lock_guard lock(mu_);
   if (!open_) return Status::Internal("SegmentedLog not open");
   if (!failed_.ok()) return failed_;
   const Status st = FlushLocked();
+  if (st.ok()) return NextLsnAfterDurableLocked() - 1;
   // Final: the staged frames may already sit in the segment, written but
   // unsynced. Writing them again, into this segment or a rotated successor,
   // would put their LSNs in the chain twice.
-  if (!st.ok() && !st.IsRetryable()) failed_ = st;
+  if (!st.IsRetryable()) failed_ = st;
   return st;
 }
 

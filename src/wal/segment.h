@@ -114,13 +114,15 @@ class SegmentedLog {
   Status Append(Lsn lsn, std::string_view frame);
 
   /// \brief Writes every staged byte to the current segment file and
-  /// fsyncs it: the durability barrier group commit amortizes. On a
-  /// retryable failure the staged buffer is retained and the next call
-  /// runs the fsync-gate repair (rotate to a fresh segment and rewrite the
-  /// staged records there) before flushing. A permanent failure is final:
-  /// this and every later Append/Flush return it, and the staged frames are
-  /// never written again.
-  Status Flush();
+  /// fsyncs it: the durability barrier group commit amortizes. Returns the
+  /// durable tail it reached, the last LSN on disk after the write (the
+  /// base LSN - 1 while the chain holds no record). On a retryable failure
+  /// the staged buffer is retained and the next call runs the fsync-gate
+  /// repair (rotate to a fresh segment and rewrite the staged records
+  /// there) before flushing. A permanent failure is final: this and every
+  /// later Append/Flush return it, and the staged frames are never written
+  /// again.
+  Result<Lsn> Flush();
 
   /// \brief Simulated process death: discards staged-but-unflushed bytes
   /// and closes the open file without writing them. Further Append/Flush

@@ -126,13 +126,16 @@ Lsn Wal::Append(LogRecord rec) {
     }
     records_.push_back(std::move(rec));
   }
-  // Publish outside the log lock: the writer thread takes its own mutex and
-  // must never be awaited while an appender holds mu_.
-  if (writer_) writer_->Publish(lsn);
   return lsn;
 }
 
 Status Wal::Sync(Lsn lsn) {
+  // An LSN no append has assigned yet: no flush would ever reach it.
+  if (const Lsn last = LastLsn(); lsn > last) {
+    return Status::InvalidArgument("Sync of LSN " + std::to_string(lsn) +
+                                   " past the last assigned LSN " +
+                                   std::to_string(last));
+  }
   {
     std::shared_lock lock(mu_);
     if (!append_error_.ok()) return append_error_;

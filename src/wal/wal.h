@@ -68,7 +68,7 @@ struct WalOptions {
 /// stream into segment files, Sync() blocks on the group-commit durable
 /// horizon, truncation recycles whole segments, and the next incarnation
 /// replays the chain. A default-constructed Wal is "durability off": it
-/// lives in memory only and Sync() is a no-op.
+/// lives in memory only and Sync() waits for nothing.
 class Wal {
  public:
   Wal();
@@ -90,14 +90,20 @@ class Wal {
   bool durable() const { return segmented_ != nullptr; }
 
   /// \brief Appends a record; assigns and returns its LSN (also stored into
-  /// `rec->lsn`). In durable mode the record's frame is staged for the
-  /// group-commit writer; durability is only guaranteed after Sync.
+  /// `rec->lsn`). In durable mode the record's frame is staged in the
+  /// segmented log and nothing else: the append does not wake the
+  /// group-commit writer, so the record reaches disk with the next flush a
+  /// Sync asks for (or a segment rotation, or the drain of a clean
+  /// shutdown). Durability is only guaranteed after Sync.
   Lsn Append(LogRecord rec);
 
-  /// \brief Blocks until `lsn` is durable. In-memory mode: a no-op (the
-  /// in-memory model treats every append as instantly durable). Durable
-  /// mode: waits for the group-commit writer's flush horizon to pass `lsn`,
-  /// surfacing any writer-side I/O error or injected fault.
+  /// \brief Blocks until `lsn` is durable. Returns InvalidArgument for an
+  /// LSN past LastLsn(), in either mode. In-memory mode: otherwise a no-op
+  /// (the in-memory model treats every append as instantly durable).
+  /// Durable mode: asks the group-commit writer for a flush when its
+  /// horizon is behind `lsn` and waits for the horizon to pass it — one
+  /// flush covers every record staged so far, so concurrent committers
+  /// share it — surfacing any writer-side I/O error or injected fault.
   Status Sync(Lsn lsn);
 
   /// \brief Admission check for new commits. Returns OK immediately when

@@ -15,7 +15,7 @@ void GroupCommitWriter::Start(Lsn initial_durable) {
   if (started_) return;
   started_ = true;
   stop_ = false;
-  published_ = initial_durable;
+  requested_ = initial_durable;
   durable_lsn_.store(initial_durable, std::memory_order_release);
   thread_ = std::thread([this] { Run(); });
 }
@@ -50,14 +50,6 @@ void GroupCommitWriter::Abandon() {
   started_ = false;
 }
 
-void GroupCommitWriter::Publish(Lsn lsn) {
-  {
-    std::lock_guard lock(mu_);
-    if (lsn > published_) published_ = lsn;
-  }
-  work_cv_.notify_one();
-}
-
 void GroupCommitWriter::Nudge() {
   {
     std::lock_guard lock(mu_);
@@ -70,6 +62,12 @@ Status GroupCommitWriter::WaitDurable(Lsn lsn) {
   std::unique_lock lock(mu_);
   if (!started_ && durable_lsn() < lsn) {
     return Status::Internal("group-commit writer is not running");
+  }
+  if (lsn > durable_lsn() && lsn > requested_) {
+    // The flush request: one flush covers everything staged so far, so a
+    // writer already flushing toward a higher LSN needs no second wakeup.
+    requested_ = lsn;
+    work_cv_.notify_one();
   }
   done_cv_.wait(lock, [&] { return durable_lsn() >= lsn || dead_; });
   // Durability first: records the writer flushed before dying are durable
@@ -103,16 +101,16 @@ void GroupCommitWriter::Run() {
     if (on_stall_) on_stall_(s);
   };
   for (;;) {
-    Lsn target = 0;
+    bool stopping = false;
     {
       std::unique_lock lock(mu_);
       work_cv_.wait(lock,
-                    [&] { return stop_ || published_ > durable_lsn(); });
+                    [&] { return stop_ || requested_ > durable_lsn(); });
       if (abandon_) return;  // simulated crash: pending work stays lost
-      if (published_ <= durable_lsn()) return;  // stop requested, drained
-      target = published_;
+      stopping = stop_;
     }
 
+    Lsn tail = kInvalidLsn;
     Status st;
     try {
       // Manual evaluation: MORPH_FAILPOINT would `return` from Run() and
@@ -128,7 +126,9 @@ void GroupCommitWriter::Run() {
             1, policy_.initial_backoff_micros);
         for (;;) {
           const auto t0 = std::chrono::steady_clock::now();
-          st = log_->Flush();
+          Result<Lsn> flushed = log_->Flush();
+          st = flushed.status();
+          if (st.ok()) tail = *flushed;
           const auto elapsed =
               std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::steady_clock::now() - t0);
@@ -190,19 +190,28 @@ void GroupCommitWriter::Run() {
     }
 
     const Lsn prev = durable_lsn();
-    // The batch this one flush made durable — the group-commit win.
-    MORPH_HISTOGRAM_VALUE("wal.group_commit.batch_size",
-                          static_cast<int64_t>(target - prev));
-    MORPH_COUNTER_INC("wal.group_commit.flushes");
+    // A flush that found nothing new staged (an idle Stop's drain) leaves
+    // the tail where it was: no batch to count, no horizon to move.
+    if (tail > prev) {
+      // The batch this one flush made durable — the group-commit win.
+      MORPH_HISTOGRAM_VALUE("wal.group_commit.batch_size",
+                            static_cast<int64_t>(tail - prev));
+      MORPH_COUNTER_INC("wal.group_commit.flushes");
+    }
+    bool drained = false;
     {
       // The horizon must advance under mu_: a committer in WaitDurable
       // evaluates its predicate under the same lock, so storing + notifying
       // without it can slip between the waiter's check and its block — a
       // lost wakeup that hangs a lone committer forever.
       std::lock_guard lock(mu_);
-      durable_lsn_.store(target, std::memory_order_release);
+      if (tail > prev) durable_lsn_.store(tail, std::memory_order_release);
+      // Drained: the flush after Stop covered everything staged before it,
+      // and no waiter asks for a record appended since.
+      drained = stopping && requested_ <= durable_lsn();
     }
     done_cv_.notify_all();
+    if (drained) return;
   }
 }
 

@@ -32,15 +32,16 @@ struct RetryPolicy {
 };
 
 /// \brief Group-commit writer: one background thread that turns many
-/// concurrent appends into few segment flushes.
+/// concurrent commits into few segment flushes.
 ///
-/// Appenders stage frames into the SegmentedLog (cheap, in-memory), then
-/// Publish() the highest LSN they staged. Committers block in WaitDurable()
-/// until the writer has flushed past their commit record. The writer wakes,
-/// snapshots the published horizon, performs ONE Flush() covering every
-/// record staged so far, and advances the durable horizon — so a flush that
-/// takes one disk round-trip absorbs every commit that arrived while the
-/// previous flush was in flight (classic group commit).
+/// Appenders stage frames into the SegmentedLog (cheap, in-memory) and never
+/// touch the writer. The writer flushes on demand: it wakes only when a
+/// committer blocks in WaitDurable() on an LSN past the durable horizon, or
+/// when Stop() drains. It then performs ONE Flush() covering every record
+/// staged so far and adopts the durable tail that flush reached as its
+/// horizon, so a flush that takes one disk round-trip absorbs every commit
+/// that arrived while the previous flush was in flight (classic group
+/// commit), and records nobody waits for cost no flush of their own.
 ///
 /// Failure semantics: the failpoint `wal.group_commit.flush` is evaluated on
 /// the writer thread before each flush. A crash action (CrashException)
@@ -71,28 +72,25 @@ class GroupCommitWriter {
     on_stall_ = std::move(cb);
   }
 
-  /// \brief Starts the writer with both horizons seeded at
+  /// \brief Starts the writer with the durable horizon seeded at
   /// `initial_durable` — after recovery, every replayed record is already
   /// durable and Sync on it must not wait.
   void Start(Lsn initial_durable = 0);
-  /// \brief Drains published work with a final flush, then joins the thread.
+  /// \brief Drains staged work with a final flush, then joins the thread.
   void Stop();
   /// \brief Joins the thread WITHOUT flushing pending work — the simulated
   /// process death path. Staged-but-unflushed records stay lost, exactly as
   /// a real crash would lose them.
   void Abandon();
 
-  /// \brief Tells the writer that frames up to `lsn` are staged. Callers
-  /// must NOT hold the Wal mutex: the writer takes its own lock here and
-  /// reads nothing from the Wal.
-  void Publish(Lsn lsn);
-
   /// \brief Wakes the writer out of a retry backoff early — called after
   /// WAL truncation recycles segments, because freed space is exactly what
   /// an ENOSPC-stalled flush is waiting for.
   void Nudge();
 
-  /// \brief Blocks until `lsn` is durable. Returns the writer's terminal
+  /// \brief Blocks until `lsn` is durable, asking the writer for a flush
+  /// when the horizon is behind it. `lsn` must already be staged in the
+  /// log (Wal::Sync checks it was assigned). Returns the writer's terminal
   /// Status if it died first (rethrowing CrashException for crash
   /// failpoints); records below an already-advanced horizon succeed even
   /// after death.
@@ -111,9 +109,9 @@ class GroupCommitWriter {
   std::function<void(bool)> on_stall_;
   std::thread thread_;
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< writer waits for published work
+  std::condition_variable work_cv_;  ///< writer waits for a flush request
   std::condition_variable done_cv_;  ///< committers wait for durability
-  Lsn published_ = 0;                ///< highest LSN staged (under mu_)
+  Lsn requested_ = 0;                ///< highest LSN waited on (under mu_)
   std::atomic<Lsn> durable_lsn_{0};
   bool started_ = false;
   bool stop_ = false;

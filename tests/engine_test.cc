@@ -244,14 +244,17 @@ TEST(CommitBackpressureTest, EnospcRefusalIsRetryableAndLeavesTxnIntact) {
   ASSERT_TRUE(db.Update(t, table.get(), Row({1}), {{1, Value(42)}}).ok());
   ASSERT_TRUE(db.wal()->Sync(db.wal()->LastLsn()).ok());
 
-  // The disk fills with no horizon; an unrelated append triggers the flush
-  // that discovers it and stalls the writer.
+  // The disk fills with no horizon; a sync of an unrelated append triggers
+  // the flush that discovers it and stalls the writer. The WAL flushes only
+  // when someone waits, so a helper thread waits on the poke until space
+  // frees.
   ASSERT_TRUE(
       Failpoints::Instance().ConfigureFromString("wal.fsync=enospc").ok());
   wal::LogRecord poke;
   poke.type = wal::LogRecordType::kBegin;
   poke.txn_id = 9999;
-  db.wal()->Append(std::move(poke));
+  const Lsn poke_lsn = db.wal()->Append(std::move(poke));
+  std::thread poke_sync([&] { (void)db.wal()->Sync(poke_lsn); });
   while (Failpoints::Instance().fires("wal.fsync") < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -268,6 +271,7 @@ TEST(CommitBackpressureTest, EnospcRefusalIsRetryableAndLeavesTxnIntact) {
   // transaction object retries its Commit and succeeds.
   Failpoints::Instance().DisableAll();
   db.wal()->TruncateBefore(1);
+  poke_sync.join();
   EXPECT_TRUE(db.Commit(t).ok());
   EXPECT_EQ(table->Get(Row({1}))->row[1], Value(42));
 }

@@ -434,16 +434,17 @@ TEST_F(IoFaultMatrixTest, EnospcStallsAdmissionAndUnwedges) {
                   .ok());
 
   // The disk fills with no horizon: every fsync reports ENOSPC until the
-  // test "frees space" by disarming the site. The test's own append (a
-  // fuzzy mark, which recovery skips) triggers the first failed flush;
-  // wait for the stall to engage — the counter, then the admission gate
-  // itself — before any transaction starts.
+  // test "frees space" by disarming the site. A helper thread's sync of the
+  // test's own append (a fuzzy mark, which recovery skips) triggers the
+  // first failed flush — the WAL flushes only when someone waits — and the
+  // helper waits until space frees. Wait for the stall to engage — the
+  // counter, then the admission gate itself — before any transaction
+  // starts.
   ASSERT_TRUE(Failpoints::Instance().ConfigureFromString("wal.fsync=enospc").ok());
-  {
-    wal::LogRecord trigger;
-    trigger.type = wal::LogRecordType::kFuzzyMark;
-    db.wal()->Append(std::move(trigger));
-  }
+  wal::LogRecord trigger;
+  trigger.type = wal::LogRecordType::kFuzzyMark;
+  const Lsn trigger_lsn = db.wal()->Append(std::move(trigger));
+  std::thread trigger_sync([&] { (void)db.wal()->Sync(trigger_lsn); });
   while (CounterValue("wal.stall.entered") == stalls_before ||
          db.wal()->WaitWritable(/*timeout_millis=*/0).ok()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -506,6 +507,7 @@ TEST_F(IoFaultMatrixTest, EnospcStallsAdmissionAndUnwedges) {
   // but exercises the exact call the real checkpointer makes.
   Failpoints::Instance().Disable("wal.fsync");
   db.wal()->TruncateBefore(1);
+  trigger_sync.join();
   committer.join();
   gated.join();
   EXPECT_TRUE(stalled_commit.ok()) << stalled_commit.ToString();
@@ -690,8 +692,15 @@ void RunTransformFaultCell(const std::string& dir, const std::string& spec,
     writers.Start();
     ASSERT_TRUE(writers.WaitForCommits(5));
 
-    // Arm once traffic is flowing, so the fault lands mid-propagation.
+    // Arm once traffic is flowing, so the fault lands mid-propagation. The
+    // WAL flushes only when a commit waits, so the writers' commits are the
+    // flushes the fault can hit; the first propagation iteration is held
+    // open long enough for the paced writers to commit inside the run.
     ASSERT_TRUE(Failpoints::Instance().ConfigureFromString(spec).ok());
+    ASSERT_TRUE(Failpoints::Instance()
+                    .ConfigureFromString(
+                        "transform.propagate.iteration=delay(20000)*1")
+                    .ok());
 
     FojSpec fspec;
     fspec.r_table = "r";

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "engine/database.h"
 #include "tests/test_util.h"
 #include "wal/log_record.h"
@@ -322,6 +323,58 @@ TEST_F(WalSegmentTest, ConcurrentCommittersAllDurable) {
   Wal reloaded;
   ASSERT_TRUE(reloaded.OpenDurable(SmallSegments(4096)).ok());
   EXPECT_EQ(reloaded.size(), static_cast<size_t>(kThreads * kPerThread));
+}
+
+// Group commit on demand: appends never wake the writer; one Sync asks for
+// one flush, and that flush covers everything staged before it. This many
+// small records stay inside one 256 KiB segment, so no rotation flushes.
+// The first two cases slow every append down, so a writer that woke on
+// appends would have time to flush between them.
+constexpr int kUnrotatedBatch = 40;
+constexpr int64_t kSlowAppendMicros = 500;
+
+TEST_F(WalSegmentTest, OneSyncFlushesEveryStagedRecordOnce) {
+  auto& registry = metrics::Registry::Instance();
+  const metrics::Histogram* batch =
+      registry.GetHistogram("wal.group_commit.batch_size");
+  Wal wal;
+  ASSERT_TRUE(wal.OpenDurable(WalOptions{dir_}).ok());
+  const uint64_t flushes_before =
+      registry.CounterValue("wal.group_commit.flushes");
+  const uint64_t batches_before = batch->count();
+  const uint64_t batched_before = batch->sum();
+  Failpoints::Instance().Delay("wal.append", kSlowAppendMicros);
+  for (int i = 0; i < kUnrotatedBatch; ++i) wal.Append(MakeInsert(1, 1, i));
+  ASSERT_TRUE(wal.Sync(wal.LastLsn()).ok());
+  EXPECT_EQ(wal.durable_lsn(), static_cast<Lsn>(kUnrotatedBatch));
+  EXPECT_EQ(registry.CounterValue("wal.group_commit.flushes"),
+            flushes_before + 1);
+  EXPECT_EQ(batch->count(), batches_before + 1);
+  EXPECT_EQ(batch->sum(), batched_before + kUnrotatedBatch);
+}
+
+TEST_F(WalSegmentTest, AppendsWithoutSyncRequestNoFlush) {
+  auto& registry = metrics::Registry::Instance();
+  Wal wal;
+  ASSERT_TRUE(wal.OpenDurable(WalOptions{dir_}).ok());
+  const uint64_t flushes_before =
+      registry.CounterValue("wal.group_commit.flushes");
+  Failpoints::Instance().Delay("wal.append", kSlowAppendMicros);
+  for (int i = 0; i < kUnrotatedBatch; ++i) wal.Append(MakeInsert(1, 1, i));
+  EXPECT_EQ(registry.CounterValue("wal.group_commit.flushes"), flushes_before);
+  EXPECT_EQ(wal.durable_lsn(), kInvalidLsn);
+}
+
+TEST_F(WalSegmentTest, CleanShutdownPersistsUnsyncedAppends) {
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.OpenDurable(WalOptions{dir_}).ok());
+    for (int i = 0; i < kUnrotatedBatch; ++i) wal.Append(MakeInsert(1, 1, i));
+  }  // no Sync: the clean shutdown's drain flushes the staged records
+  Wal reloaded;
+  ASSERT_TRUE(reloaded.OpenDurable(WalOptions{dir_}).ok());
+  EXPECT_EQ(reloaded.size(), static_cast<size_t>(kUnrotatedBatch));
+  EXPECT_EQ(reloaded.LastLsn(), static_cast<Lsn>(kUnrotatedBatch));
 }
 
 TEST_F(WalSegmentTest, CrashAtRotateLosesNoSyncedRecord) {

@@ -242,6 +242,25 @@ TEST(WalTest, LastLsnContractAfterFullTruncation) {
   EXPECT_EQ(wal.Append(MakeInsert(1, 1, 99)), 11u);
 }
 
+// Regression (hang): Sync of an LSN no append assigned used to wait for a
+// durable horizon that never reaches it. It is refused, in both modes.
+TEST(WalTest, SyncPastLastLsnIsInvalidArgument) {
+  Wal in_memory;
+  EXPECT_TRUE(in_memory.Sync(in_memory.LastLsn() + 1).IsInvalidArgument());
+  in_memory.Append(MakeInsert(1, 1, 1));
+  EXPECT_TRUE(in_memory.Sync(in_memory.LastLsn()).ok());
+  EXPECT_TRUE(in_memory.Sync(in_memory.LastLsn() + 1).IsInvalidArgument());
+
+  const morph::testing::TestWalDir wal_dir;
+  Wal durable;
+  ASSERT_TRUE(durable.OpenDurable(wal_dir.options()).ok());
+  EXPECT_TRUE(durable.Sync(durable.LastLsn() + 1).IsInvalidArgument());
+  durable.Append(MakeInsert(1, 1, 1));
+  EXPECT_TRUE(durable.Sync(durable.LastLsn()).ok());
+  const Status past = durable.Sync(durable.LastLsn() + 1);
+  EXPECT_TRUE(past.IsInvalidArgument()) << past.ToString();
+}
+
 // Regression (LSN reuse): an empty (fully truncated) log must survive a
 // crash without resetting its LSN space — the manifest persists the base
 // LSN.
