@@ -5,9 +5,9 @@
 //    frame and forces its own flush before returning (one write syscall per
 //    commit, serialized on the log mutex);
 //  - group_commit: the engine's real path — committers stage through
-//    Wal::Append and block in Sync on the group-commit writer's durable
-//    horizon, so one flush covers every record staged while the previous
-//    flush was in flight.
+//    Wal::Append and wait in Sync for the durable horizon. The committer
+//    that finds no flush in flight leads one on its own thread; it covers
+//    every record staged while the previous flush was in flight.
 //
 // Sweeps committer counts {1, 2, 4, 8} and writes BENCH_wal_commit.json with
 // commits/sec, flush counts and the group-vs-per-append speedup per width.
@@ -15,9 +15,9 @@
 // because eight concurrent commits collapse into one buffered write+flush.
 //
 // A third cell, under the top-level key "multi_record", shapes commits like
-// the engine's: 3 committers, each commit 10 appends then one Sync. The
-// writer flushes only when a commit waits, so its flushes_per_commit is at
-// most 1 however many records a commit stages.
+// the engine's: 3 committers, each commit 10 appends then one Sync. A
+// flush runs only when a commit waits, so its flushes_per_commit is at most
+// 1 however many records a commit stages.
 // `--quick` (or MORPH_BENCH_QUICK=1) shrinks the sweep to {1, 8} with fewer
 // commits per thread — same output schema, CI-smoke sized.
 
@@ -138,9 +138,10 @@ CellResult RunPerAppendFlush(const std::string& dir, size_t committers,
   return r;
 }
 
-/// Group commit: the engine path — Append stages, Sync blocks on the durable
-/// horizon, the writer thread batches everything staged in between. Each
-/// commit appends `records_per_commit` records and syncs the last one.
+/// Group commit: the engine path — Append stages, Sync waits for the durable
+/// horizon, and the Sync that leads a flush batches everything staged in
+/// between. Each commit appends `records_per_commit` records and syncs the
+/// last one.
 CellResult RunGroupCommit(const std::string& dir, size_t committers,
                           size_t commits_per_thread,
                           size_t records_per_commit = 1) {

@@ -26,7 +26,7 @@ void LogPropagator::SetSources(const std::vector<TableId>& source_ids) {
 }
 
 Status LogPropagator::ApplyOp(const Op& op, txn::LockOrigin origin) {
-  MORPH_FAILPOINT("transform.propagate.worker");
+  MORPH_FAILPOINT("transform.propagate.apply");
   std::vector<txn::RecordId> affected;
   MORPH_RETURN_NOT_OK(
       rules_->Apply(op, config_.maintain_locks ? &affected : nullptr));

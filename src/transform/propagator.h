@@ -46,7 +46,7 @@ struct PropagatorConfig {
 ///
 /// **Failure.** A non-OK Status from a rule, or a scan gap left by a
 /// truncation racing past the reader, stops the loop and is returned from
-/// PropagateRange. The failpoint "transform.propagate.worker" fires before
+/// PropagateRange. The failpoint "transform.propagate.apply" fires before
 /// every op is applied (crash tests arm it to throw CrashException).
 ///
 /// Thread safety: PropagateRange must be called from one thread at a time

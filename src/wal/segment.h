@@ -63,8 +63,8 @@ void AppendFrame(std::string* out, const LogRecord& rec);
 /// so a second fsync on the same fd reporting success would be a lie.
 ///
 /// Thread safety: all methods take an internal mutex. Append/Flush are
-/// expected to be driven by one writer (the group-commit thread or an
-/// inline synchronous appender); RecycleBefore runs on whatever thread the
+/// expected to be driven by one writer (the current leader or an inline
+/// synchronous appender); RecycleBefore runs on whatever thread the
 /// log janitor uses.
 class SegmentedLog {
  public:

@@ -16,8 +16,8 @@ namespace morph::wal {
 Wal::Wal() = default;
 
 Wal::~Wal() {
-  // Clean shutdown drains the group-commit pipeline; a simulated crash goes
-  // through SimulateCrash() first, which abandons instead of draining.
+  // Clean shutdown flushes what is staged; a simulated crash goes through
+  // SimulateCrash() first, which abandons instead of flushing.
   if (writer_) writer_->Stop();
 }
 
@@ -62,25 +62,23 @@ Status Wal::OpenDurable(const WalOptions& options) {
     last_replayed =
         records_.empty() ? base_lsn_ - 1 : records_.back().lsn;
   }
-  // Everything replayed is durable by definition; the writer's horizon
-  // starts there so Sync on recovered records returns immediately.
-  writer_ = std::make_unique<GroupCommitWriter>(segmented_.get());
   RetryPolicy policy;
   policy.max_retries = options.flush_max_retries;
   policy.enospc_max_retries = options.flush_enospc_max_retries;
   policy.initial_backoff_micros = options.flush_initial_backoff_micros;
   policy.max_backoff_micros = options.flush_max_backoff_micros;
-  writer_->set_retry_policy(policy);
-  writer_->set_stall_callback([this](bool stalled) {
-    {
-      std::lock_guard lock(gate_mu_);
-      stalled_.store(stalled, std::memory_order_release);
-    }
-    gate_cv_.notify_all();
-    // a = 1 entering the stall, 0 leaving it.
-    MORPH_TRACE("wal.stall", stalled ? 1 : 0, 0);
-  });
-  writer_->Start(last_replayed);
+  // Everything replayed is durable by definition; the horizon starts there
+  // so Sync on recovered records returns immediately.
+  writer_ = std::make_unique<GroupCommitWriter>(
+      segmented_.get(), last_replayed, policy, [this](bool stalled) {
+        {
+          std::lock_guard lock(gate_mu_);
+          stalled_.store(stalled, std::memory_order_release);
+        }
+        gate_cv_.notify_all();
+        // a = 1 entering the stall, 0 leaving it.
+        MORPH_TRACE("wal.stall", stalled ? 1 : 0, 0);
+      });
   // The durability pin: truncation must never advance the (persisted) base
   // past a record that has not been flushed — after a crash the chain would
   // claim base > durable tail and the gap would look like corruption.
@@ -92,10 +90,10 @@ Status Wal::OpenDurable(const WalOptions& options) {
 Lsn Wal::Append(LogRecord rec) {
   MORPH_FAILPOINT_VOID("wal.append");
   MORPH_COUNTER_INC("wal.appends");
-  // ENOSPC admission gate: while the writer is stalled waiting for space,
+  // ENOSPC admission gate: while a flush is stalled waiting for space,
   // new appends queue up *here* — before an LSN is assigned, before any
   // in-memory state grows — so committers feel backpressure as latency and
-  // the log does not balloon while the disk is full. The writer's retry
+  // the log does not balloon while the disk is full. The leader's retry
   // loop guarantees the stall clears (space freed or writer death), so
   // this wait is always bounded by the retry budget.
   if (writer_ && stalled_.load(std::memory_order_acquire)) {
@@ -188,8 +186,8 @@ Lsn Wal::durable_lsn() const {
 void Wal::SimulateCrash() {
   if (writer_) writer_->Abandon();
   if (segmented_) segmented_->Abandon();
-  // Defensive: the writer's exit clears the stall, but a gate left shut by
-  // any path would wedge the next incarnation's test harness.
+  // Defensive: the leader clears the stall on its way out, but a gate left
+  // shut by any path would wedge the next incarnation's test harness.
   {
     std::lock_guard lock(gate_mu_);
     stalled_.store(false, std::memory_order_release);
@@ -297,7 +295,7 @@ void Wal::TruncateBefore(Lsn keep_from) {
     const Status st = segmented_->RecycleBefore(keep_from);
     if (!st.ok()) MORPH_COUNTER_INC("wal.recycle_errors");
     // Freed segments are exactly what an ENOSPC-stalled flush is waiting
-    // for: wake the writer out of its backoff so the stall clears now, not
+    // for: wake the leader out of its backoff so the stall clears now, not
     // a backoff period from now.
     if (st.ok() && writer_) writer_->Nudge();
   }

@@ -26,8 +26,9 @@ class GroupCommitWriter;
 /// The default-constructed Wal is purely in-memory — the paper prototype's
 /// configuration and the default for unit tests. Calling Wal::OpenDurable
 /// with a directory attaches a SegmentedLog backend: every append is framed
-/// into fixed-size segment files, a group-commit writer thread batches
-/// flushes, and the chain survives process death.
+/// into fixed-size segment files, leader–follower group commit batches
+/// flushes on the committers' own threads, and the chain survives process
+/// death.
 struct WalOptions {
   std::string dir;
   /// Segment rotation threshold in payload bytes.
@@ -37,7 +38,8 @@ struct WalOptions {
   /// Group-commit flush retry budgets (see wal::RetryPolicy): transient
   /// faults get `flush_max_retries` attempts with capped exponential
   /// backoff; ENOSPC gets the far more patient `flush_enospc_max_retries`
-  /// while truncation frees segments. Exhausting either kills the writer.
+  /// while truncation frees segments. The leader of a flush runs the
+  /// retries; exhausting either budget kills the writer.
   int flush_max_retries = 8;
   int flush_enospc_max_retries = 200;
   int64_t flush_initial_backoff_micros = 200;
@@ -81,9 +83,10 @@ class Wal {
   /// the read path; segments are the durability path). Must be called on a
   /// fresh Wal before any append. Adopts the chain's persisted base LSN even
   /// when no records survive — a fully truncated log must not re-issue LSNs.
-  /// Starts the group-commit writer and registers an internal retention pin
-  /// at the durable horizon so truncation can never discard a record that
-  /// has not been flushed yet.
+  /// Seeds the group-commit durable horizon at the last replayed record (no
+  /// thread is started) and registers an internal retention pin at that
+  /// horizon so truncation can never discard a record that has not been
+  /// flushed yet.
   Status OpenDurable(const WalOptions& options);
 
   /// \brief True when a segmented backend is attached.
@@ -91,23 +94,24 @@ class Wal {
 
   /// \brief Appends a record; assigns and returns its LSN (also stored into
   /// `rec->lsn`). In durable mode the record's frame is staged in the
-  /// segmented log and nothing else: the append does not wake the
-  /// group-commit writer, so the record reaches disk with the next flush a
-  /// Sync asks for (or a segment rotation, or the drain of a clean
-  /// shutdown). Durability is only guaranteed after Sync.
+  /// segmented log and nothing else: the append starts no flush, so the
+  /// record reaches disk with the next flush a Sync leads (or a segment
+  /// rotation, or the final flush of a clean shutdown). Durability is only
+  /// guaranteed after Sync.
   Lsn Append(LogRecord rec);
 
   /// \brief Blocks until `lsn` is durable. Returns InvalidArgument for an
   /// LSN past LastLsn(), in either mode. In-memory mode: otherwise a no-op
   /// (the in-memory model treats every append as instantly durable).
-  /// Durable mode: asks the group-commit writer for a flush when its
-  /// horizon is behind `lsn` and waits for the horizon to pass it — one
-  /// flush covers every record staged so far, so concurrent committers
-  /// share it — surfacing any writer-side I/O error or injected fault.
+  /// Durable mode: when the horizon is behind `lsn` and no flush is in
+  /// progress, the caller leads one on its own thread; otherwise it
+  /// follows, waiting for the flush in flight. One flush covers every
+  /// record staged so far, so concurrent committers share it. Surfaces any
+  /// flush I/O error or injected fault, as a CrashException for a crash.
   Status Sync(Lsn lsn);
 
   /// \brief Admission check for new commits. Returns OK immediately when
-  /// the log is healthy. While the writer is stalled on ENOSPC, waits up to
+  /// the log is healthy. While a flush is stalled on ENOSPC, waits up to
   /// `timeout_millis` for the stall to clear (truncation freeing segments),
   /// then returns a retryable Status::NoSpace — so a caller can refuse the
   /// commit *before* applying anything, instead of halting after an
@@ -186,10 +190,11 @@ class Wal {
   Lsn FirstLsn() const;
 
   /// \brief Simulates process death for the durable backend: the
-  /// group-commit writer is joined WITHOUT a final flush and staged bytes
-  /// are discarded, exactly as a real crash would lose unsynced writes. The
-  /// crash-matrix harness calls this after catching CrashException so the
-  /// dead incarnation's destructor cannot leak "lost" bytes to disk.
+  /// group-commit writer is marked dead WITHOUT a final flush (an in-flight
+  /// leader is waited for) and staged bytes are discarded, exactly as a
+  /// real crash would lose unsynced writes. The crash-matrix harness calls
+  /// this after catching CrashException so the dead incarnation's destructor
+  /// cannot leak "lost" bytes to disk.
   /// No-op for an in-memory log.
   void SimulateCrash();
 
@@ -199,8 +204,8 @@ class Wal {
 
  private:
   mutable std::shared_mutex mu_;
-  /// ENOSPC admission gate: set/cleared by the writer's stall callback.
-  /// Appends block on gate_cv_ while stalled; the writer's retry loop
+  /// ENOSPC admission gate: set/cleared by the leader's stall callback.
+  /// Appends block on gate_cv_ while stalled; the leader's retry loop
   /// guarantees the stall always clears (space freed, or writer death).
   std::atomic<bool> stalled_{false};
   std::mutex gate_mu_;

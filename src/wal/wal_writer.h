@@ -3,10 +3,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <mutex>
-#include <thread>
+#include <string>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -14,13 +13,13 @@
 
 namespace morph::wal {
 
-/// \brief Flush retry/backoff policy for the group-commit writer.
+/// \brief Flush retry/backoff policy for group commit.
 ///
 /// Transient faults (Status subcode kTransient — a disk hiccup's EIO) are
 /// retried up to `max_retries` times with capped exponential backoff.
 /// ENOSPC (subcode kNoSpace) gets its own, far more patient budget: the
 /// disk stays full until something frees space (checkpoint-driven WAL
-/// truncation), so the writer stalls — surfacing backpressure to committers
+/// truncation), so the flush stalls — surfacing backpressure to committers
 /// as latency — rather than giving up. Either budget exhausting, or any
 /// non-retryable fault, kills the writer with a descriptive terminal
 /// Status (the engine's halt path).
@@ -31,67 +30,68 @@ struct RetryPolicy {
   int64_t max_backoff_micros = 50'000;  // 50 ms cap
 };
 
-/// \brief Group-commit writer: one background thread that turns many
-/// concurrent commits into few segment flushes.
+/// \brief Leader–follower group commit: turns many concurrent commits into
+/// few segment flushes, with no thread of its own.
 ///
 /// Appenders stage frames into the SegmentedLog (cheap, in-memory) and never
-/// touch the writer. The writer flushes on demand: it wakes only when a
-/// committer blocks in WaitDurable() on an LSN past the durable horizon, or
-/// when Stop() drains. It then performs ONE Flush() covering every record
-/// staged so far and adopts the durable tail that flush reached as its
-/// horizon, so a flush that takes one disk round-trip absorbs every commit
-/// that arrived while the previous flush was in flight (classic group
-/// commit), and records nobody waits for cost no flush of their own.
+/// touch the writer. A committer that waits in WaitDurable() on an LSN past
+/// the durable horizon, and finds no flush in progress, becomes the leader:
+/// on its own thread it performs ONE Flush() covering every record staged so
+/// far, publishes the durable tail that flush reached as the horizon, and
+/// wakes everyone waiting. Committers that arrive while a flush is in flight
+/// are followers: they wait, and when the flush ends either their record is
+/// durable or one of them leads the next flush, which covers all of them
+/// (classic group commit). Records nobody waits for cost no flush of their
+/// own; Stop() runs one final flush at clean shutdown.
 ///
-/// Failure semantics: the failpoint `wal.group_commit.flush` is evaluated on
-/// the writer thread before each flush. A crash action (CrashException)
-/// marks the writer dead immediately. A *retryable* I/O failure (see
-/// RetryPolicy) is retried with backoff — the SegmentedLog's fsync-gate
-/// repair rotates to a fresh segment under the covers, so no ack ever
-/// depends on re-fsyncing a descriptor whose fsync already failed. Only an
-/// exhausted budget or a permanent fault marks the writer dead; records at
-/// or below the durable horizon stay durable, and every current and future
-/// WaitDurable beyond it observes the failure — a crash is rethrown on the
-/// waiter's thread so the harness's Database-boundary catch sees the
+/// Failure semantics: the failpoint `wal.group_commit.flush` is evaluated by
+/// the leader before each flush. A *retryable* I/O failure (see RetryPolicy)
+/// is retried with backoff — the SegmentedLog's fsync-gate repair rotates to
+/// a fresh segment under the covers, so no ack ever depends on re-fsyncing a
+/// descriptor whose fsync already failed. A crash action (CrashException),
+/// an exhausted budget or a permanent fault marks the writer dead before the
+/// leader gives up leadership, so no follower flushes after the death.
+/// Records at or below the durable horizon stay durable; every current and
+/// future WaitDurable beyond it observes the failure — a crash as a
+/// CrashException for the same site, thrown on the leader's and every
+/// follower's thread, so the harness's Database-boundary catch sees the
 /// simulated process death.
 class GroupCommitWriter {
  public:
-  explicit GroupCommitWriter(SegmentedLog* log) : log_(log) {}
-  ~GroupCommitWriter();
+  /// \brief `initial_durable` seeds the horizon — after recovery, every
+  /// replayed record is already durable and Sync on it must not wait.
+  /// `on_stall` is invoked by the leader when it enters (true) or leaves
+  /// (false) an ENOSPC stall; the Wal uses it to open/close the append
+  /// admission gate. It must not call back into this writer.
+  GroupCommitWriter(SegmentedLog* log, Lsn initial_durable,
+                    const RetryPolicy& policy,
+                    std::function<void(bool)> on_stall)
+      : log_(log),
+        policy_(policy),
+        on_stall_(std::move(on_stall)),
+        durable_lsn_(initial_durable) {}
   GroupCommitWriter(const GroupCommitWriter&) = delete;
   GroupCommitWriter& operator=(const GroupCommitWriter&) = delete;
 
-  /// \brief Sets the retry policy. Call before Start.
-  void set_retry_policy(const RetryPolicy& policy) { policy_ = policy; }
-
-  /// \brief Registers a callback invoked from the writer thread when it
-  /// enters (true) or leaves (false) an ENOSPC stall. The Wal uses it to
-  /// open/close the append admission gate. Call before Start. The callback
-  /// must not call back into this writer.
-  void set_stall_callback(std::function<void(bool)> cb) {
-    on_stall_ = std::move(cb);
-  }
-
-  /// \brief Starts the writer with the durable horizon seeded at
-  /// `initial_durable` — after recovery, every replayed record is already
-  /// durable and Sync on it must not wait.
-  void Start(Lsn initial_durable = 0);
-  /// \brief Drains staged work with a final flush, then joins the thread.
+  /// \brief Clean shutdown: waits for an in-flight leader, then runs one
+  /// final flush of everything staged. Never throws; a crash there is
+  /// recorded as death.
   void Stop();
-  /// \brief Joins the thread WITHOUT flushing pending work — the simulated
-  /// process death path. Staged-but-unflushed records stay lost, exactly as
-  /// a real crash would lose them.
+  /// \brief Marks the writer dead and waits for an in-flight leader WITHOUT
+  /// flushing pending work — the simulated process death path.
+  /// Staged-but-unflushed records stay lost, exactly as a real crash would
+  /// lose them.
   void Abandon();
 
-  /// \brief Wakes the writer out of a retry backoff early — called after
-  /// WAL truncation recycles segments, because freed space is exactly what
-  /// an ENOSPC-stalled flush is waiting for.
+  /// \brief Cuts a leader's retry backoff short — called after WAL
+  /// truncation recycles segments, because freed space is exactly what an
+  /// ENOSPC-stalled flush is waiting for.
   void Nudge();
 
-  /// \brief Blocks until `lsn` is durable, asking the writer for a flush
-  /// when the horizon is behind it. `lsn` must already be staged in the
-  /// log (Wal::Sync checks it was assigned). Returns the writer's terminal
-  /// Status if it died first (rethrowing CrashException for crash
+  /// \brief Blocks until `lsn` is durable, leading a flush when the horizon
+  /// is behind it and none is in progress. `lsn` must already be staged in
+  /// the log (Wal::Sync checks it was assigned). Returns the writer's
+  /// terminal Status if it died first (throwing CrashException for crash
   /// failpoints); records below an already-advanced horizon succeed even
   /// after death.
   Status WaitDurable(Lsn lsn);
@@ -102,24 +102,23 @@ class GroupCommitWriter {
   Lsn durable_lsn() const { return durable_lsn_.load(std::memory_order_acquire); }
 
  private:
-  void Run();
+  /// Runs one flush as the leader. Called and returns with `lock` held and
+  /// `flushing_` set; drops the lock while it flushes.
+  void Lead(std::unique_lock<std::mutex>& lock);
 
   SegmentedLog* log_;
-  RetryPolicy policy_;
-  std::function<void(bool)> on_stall_;
-  std::thread thread_;
+  const RetryPolicy policy_;
+  const std::function<void(bool)> on_stall_;
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< writer waits for a flush request
-  std::condition_variable done_cv_;  ///< committers wait for durability
-  Lsn requested_ = 0;                ///< highest LSN waited on (under mu_)
-  std::atomic<Lsn> durable_lsn_{0};
-  bool started_ = false;
-  bool stop_ = false;
-  bool abandon_ = false;
+  /// Followers wait here for the horizon, death or the end of a flush; a
+  /// leader in backoff waits here for a nudge.
+  std::condition_variable cv_;
+  std::atomic<Lsn> durable_lsn_;
+  bool flushing_ = false;      ///< a leader is flushing (under mu_)
   bool nudged_ = false;        ///< truncation freed space; skip the backoff
   bool dead_ = false;
   Status death_status_;        ///< terminal error when dead_ (under mu_)
-  std::exception_ptr crash_;   ///< CrashException from the writer thread
+  std::string crash_site_;     ///< failpoint of a crash death, else empty
 };
 
 }  // namespace morph::wal

@@ -55,7 +55,7 @@ constexpr int64_t kReservedKey = 1000;
 /// fuzzy mark, committed right after. Being in the mark's active snapshot
 /// drags the propagation start below its update, so every cell replays at
 /// least one source-table op through the apply path — pinning the
-/// data-dependent "transform.propagate.worker" site on the deterministic
+/// data-dependent "transform.propagate.apply" site on the deterministic
 /// path regardless of writer timing.
 constexpr int64_t kStraddlerKey = 1001;
 

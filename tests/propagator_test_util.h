@@ -1,6 +1,6 @@
 #pragma once
 
-// Shared machinery for the propagation suites (propagator_parallel_test.cc,
+// Shared machinery for the propagation suites (propagator_stream_test.cc,
 // tablet_differential_test.cc, metrics_test.cc): a deterministic, seeded op
 // stream replayed against a fresh database per cell, with the
 // transformation held open (SetSyncHold) so propagation runs concurrently

@@ -134,7 +134,7 @@ TEST(TabletEligibilityTest, NonBlockingCommitClampsToWholeTable) {
   CellOptions opts;
   opts.strategy = SyncStrategy::kNonBlockingCommit;
   opts.tablets = 16;
-  // Seed borrowed from propagator_parallel_test's merge/non-blocking-commit
+  // Seed borrowed from propagator_stream_test's merge/non-blocking-commit
   // cell: the straddler's key must survive the stream.
   opts.seed = 126;
   const CellResult cell = RunCell(Operator::kMerge, opts);

@@ -113,7 +113,9 @@ struct FojFixture {
 
   /// In memory, or over the durable WAL `durable` when given.
   explicit FojFixture(const wal::WalOptions* durable = nullptr) {
-    if (durable != nullptr) EXPECT_TRUE(db.wal()->OpenDurable(*durable).ok());
+    if (durable != nullptr) {
+      EXPECT_TRUE(db.wal()->OpenDurable(*durable).ok());
+    }
     r = *db.CreateTable("r", morph::testing::RSchema());
     s = *db.CreateTable("s", morph::testing::SSchema());
     std::vector<Row> r_rows, s_rows;

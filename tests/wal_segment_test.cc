@@ -428,6 +428,102 @@ TEST_F(WalSegmentTest, CrashAtGroupCommitFlushLosesOnlyUnsyncedTail) {
   EXPECT_TRUE(reloaded.At(doomed).status().IsNotFound());
 }
 
+// Leader–follower group commit: the committer that finds no flush in
+// progress leads one, and a committer that arrives while it runs follows.
+// The leader below is held inside its flush by a delay at
+// wal.group_commit.flush (its first hit is the signal that it leads), long
+// enough for a second committer to append and wait. The same flush then
+// fails at wal.write, before a byte reaches the file. Were the follower to
+// arrive only after the death, it must fail the same way, so the outcome
+// does not depend on the schedule.
+constexpr int64_t kLeaderHoldMicros = 200'000;
+
+struct SyncOutcome {
+  Status status;
+  std::string crash_site;  ///< set when Sync threw CrashException
+};
+
+SyncOutcome SyncCatchingCrash(Wal* wal, Lsn lsn) {
+  SyncOutcome out;
+  try {
+    out.status = wal->Sync(lsn);
+  } catch (const CrashException& e) {
+    out.crash_site = e.point();
+  }
+  return out;
+}
+
+struct LeaderFollowerRun {
+  SyncOutcome leader;
+  SyncOutcome follower;
+  Lsn followed = kInvalidLsn;
+};
+
+/// Arms the hold, then `write_fault` at wal.write; returns both outcomes.
+LeaderFollowerRun RunLeaderAndFollower(Wal* wal,
+                                       const std::string& write_fault) {
+  auto& fp = Failpoints::Instance();
+  Failpoints::Config hold;
+  hold.action = Failpoints::Action::kDelay;
+  hold.delay_micros = kLeaderHoldMicros;
+  hold.max_fires = 1;
+  fp.Enable("wal.group_commit.flush", hold);
+  EXPECT_TRUE(fp.ConfigureFromString(write_fault).ok());
+  LeaderFollowerRun run;
+  const Lsn led = wal->Append(MakeInsert(1, 1, 100));
+  std::thread leader([&] { run.leader = SyncCatchingCrash(wal, led); });
+  while (fp.hits("wal.group_commit.flush") == 0) std::this_thread::yield();
+  run.followed = wal->Append(MakeInsert(2, 1, 200));
+  std::thread follower(
+      [&] { run.follower = SyncCatchingCrash(wal, run.followed); });
+  leader.join();
+  follower.join();
+  // One flush was led, and nobody flushed after it failed.
+  EXPECT_EQ(fp.hits("wal.group_commit.flush"), 1u);
+  EXPECT_EQ(fp.hits("wal.write"), 1u);
+  return run;
+}
+
+TEST_F(WalSegmentTest, FollowerNeverFlushesAfterLeaderCrash) {
+  Wal wal;
+  ASSERT_TRUE(wal.OpenDurable(SmallSegments(1 << 20)).ok());
+  for (int i = 0; i < 20; ++i) wal.Append(MakeInsert(1, 1, i));
+  ASSERT_TRUE(wal.Sync(wal.LastLsn()).ok());
+  const Lsn horizon = wal.durable_lsn();
+  ASSERT_EQ(horizon, 20u);
+
+  const LeaderFollowerRun run = RunLeaderAndFollower(&wal, "wal.write=crash");
+  // The crash propagates on the leader's thread, and the follower sees the
+  // same process death instead of an OK.
+  EXPECT_EQ(run.leader.crash_site, "wal.write");
+  EXPECT_EQ(run.follower.crash_site, "wal.write");
+  EXPECT_EQ(wal.durable_lsn(), horizon);
+  wal.SimulateCrash();
+  Failpoints::Instance().DisableAll();
+
+  Wal reloaded;
+  ASSERT_TRUE(reloaded.OpenDurable(SmallSegments(1 << 20)).ok());
+  EXPECT_EQ(reloaded.LastLsn(), horizon);
+  EXPECT_TRUE(reloaded.At(run.followed).status().IsNotFound());
+}
+
+TEST_F(WalSegmentTest, FollowerGetsLeadersPermanentFlushError) {
+  Wal wal;
+  ASSERT_TRUE(wal.OpenDurable(SmallSegments(1 << 20)).ok());
+  for (int i = 0; i < 20; ++i) wal.Append(MakeInsert(1, 1, i));
+  ASSERT_TRUE(wal.Sync(wal.LastLsn()).ok());
+  const Lsn horizon = wal.durable_lsn();
+
+  const LeaderFollowerRun run = RunLeaderAndFollower(&wal, "wal.write=eio");
+  ASSERT_TRUE(run.leader.crash_site.empty());
+  ASSERT_TRUE(run.follower.crash_site.empty());
+  EXPECT_FALSE(run.leader.status.ok());
+  EXPECT_FALSE(run.leader.status.IsRetryable()) << run.leader.status.ToString();
+  EXPECT_EQ(run.follower.status.ToString(), run.leader.status.ToString());
+  EXPECT_EQ(wal.durable_lsn(), horizon);
+  wal.SimulateCrash();
+}
+
 TEST_F(WalSegmentTest, CrashAtRecycleKeepsChainOpenable) {
   Wal wal;
   ASSERT_TRUE(wal.OpenDurable(SmallSegments()).ok());
