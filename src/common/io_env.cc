@@ -200,4 +200,17 @@ Result<std::string> IoEnv::ReadFile(const std::string& path,
   return out;
 }
 
+Status IoEnv::WriteFileAtomic(const std::string& path, std::string_view bytes,
+                              const AtomicWriteSites& sites) {
+  const std::string tmp = path + ".tmp";
+  {
+    MORPH_ASSIGN_OR_RETURN(std::unique_ptr<IoFile> file,
+                           OpenForWrite(tmp, sites.write));
+    MORPH_RETURN_NOT_OK(file->Write(bytes, sites.write));
+    MORPH_RETURN_NOT_OK(file->Sync(sites.fsync));
+  }
+  MORPH_RETURN_NOT_OK(Rename(tmp, path, sites.rename));
+  return SyncDir(path, sites.dirsync);
+}
+
 }  // namespace morph

@@ -90,6 +90,22 @@ class IoEnv {
   /// \brief Reads a whole file into a string.
   Result<std::string> ReadFile(const std::string& path, const char* site);
 
+  /// \brief The failpoint sites of WriteFileAtomic's steps.
+  struct AtomicWriteSites {
+    const char* write;    ///< opening and writing the temp file
+    const char* fsync;    ///< fsync of the temp file
+    const char* rename;   ///< temp -> `path`
+    const char* dirsync;  ///< fsync of the directory
+  };
+
+  /// \brief Writes `bytes` to `path` atomically: temp file `path`.tmp in the
+  /// same directory, fsync, rename, fsync the directory. The previous file
+  /// (if any) survives any crash or failure before the rename; after the
+  /// directory fsync the new content is complete and the rename persistent.
+  /// A failure before the rename leaves an orphan `.tmp` behind.
+  Status WriteFileAtomic(const std::string& path, std::string_view bytes,
+                         const AtomicWriteSites& sites);
+
  private:
   IoEnv() = default;
 };

@@ -5,6 +5,7 @@
 
 #include "common/result.h"
 #include "engine/database.h"
+#include "engine/recovery.h"
 
 namespace morph::engine {
 
@@ -18,16 +19,26 @@ namespace morph::engine {
 ///     crash may need undo records from before the checkpoint);
 ///  3. a fuzzy snapshot of every table (no locks; writers keep running).
 ///
-/// Restart from a checkpoint loads the snapshots, then performs **LSN-gated
-/// redo** of the log from `redo_start_lsn()`: a snapshot record already
-/// reflecting a logged operation (the scan ran concurrently with writers)
-/// has a LSN at or above the record's and is skipped — the same
+/// Restart from a checkpoint loads the snapshots, then runs the one
+/// recovery pass (Recovery::Recover) from `redo_start_lsn()` with the
+/// active-transaction table the checkpoint recorded. Its redo skips a
+/// record the snapshot already reflects (stored LSN at or above the log
+/// record's: the scan ran concurrently with writers) — the same
 /// state-identifier discipline the paper's fuzzy copy uses (§2.2). Undo of
-/// losers then proceeds exactly as in plain Restart.
+/// losers then proceeds exactly as in plain Restart; Restart is this
+/// restore with no checkpoint.
 ///
-/// The WAL may be truncated up to `truncate_floor()` once the checkpoint is
-/// durable: everything older is covered by the snapshots and is not needed
-/// by any loser's undo chain.
+/// A checkpoint is one file, `dir`/checkpoint: the meta below followed by
+/// every table's snapshot. Write replaces it atomically and durably (temp,
+/// fsync, rename, directory fsync; failpoint sites
+/// `engine.checkpoint.file.{write,fsync,rename}` and
+/// `engine.checkpoint.dirsync`), so Write returns only once the checkpoint
+/// is durable, and a failed or torn Write leaves the previous checkpoint
+/// whole. One file costs two fsyncs however many tables it holds.
+///
+/// The WAL may be truncated up to `truncate_floor()` once Write returned:
+/// everything older is covered by the snapshots and is not needed by any
+/// loser's undo chain.
 struct CheckpointMeta {
   Lsn guard_lsn = kInvalidLsn;
   Lsn min_active_lsn = kInvalidLsn;  ///< oldest BEGIN among active txns
@@ -50,31 +61,22 @@ struct CheckpointMeta {
 class Checkpointer {
  public:
   /// \brief Writes a fuzzy checkpoint of every table in `db` into `dir`
-  /// (created by the caller): one snapshot file per table plus
-  /// `checkpoint.meta`. Safe to run concurrently with user transactions and
+  /// (created by the caller). Safe to run concurrently with user transactions and
   /// with a running transformation (transformed tables are snapshotted like
   /// any other; an in-flight transformation is simply not part of the
   /// checkpoint contract and restarts as aborted, like plain recovery).
   static Result<CheckpointMeta> Write(Database* db, const std::string& dir);
 
-  /// \brief Reads `dir`/checkpoint.meta.
+  /// \brief Reads the meta of the checkpoint in `dir`.
   static Result<CheckpointMeta> ReadMeta(const std::string& dir);
 
   /// \brief Restores table contents from the checkpoint in `dir` and the
-  /// log suffix in `wal`: load snapshots → LSN-gated redo from
-  /// redo_start_lsn → undo losers (with CLRs). Tables must exist (schemas
+  /// log suffix in `wal`: load snapshots, then Recovery::Recover from
+  /// redo_start_lsn with the checkpoint's ATT. Tables must exist (schemas
   /// recreated by the caller, names matching the checkpointed ones) and be
   /// empty.
-  struct Stats {
-    size_t snapshot_records = 0;
-    size_t records_scanned = 0;
-    size_t redone = 0;
-    size_t skipped_by_lsn = 0;
-    size_t losers = 0;
-    size_t undone = 0;
-  };
-  static Result<Stats> Restore(const std::string& dir, wal::Wal* wal,
-                               storage::Catalog* catalog);
+  static Result<Recovery::Stats> Restore(const std::string& dir, wal::Wal* wal,
+                                         storage::Catalog* catalog);
 };
 
 }  // namespace morph::engine

@@ -4,6 +4,7 @@
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "engine/recovery.h"
 
 namespace morph::engine {
 
@@ -77,33 +78,13 @@ Status Database::Commit(const TxnPtr& t) {
 
 Status Database::Abort(const TxnPtr& t) {
   MORPH_RETURN_NOT_OK(txns_.BeginAbort(t));
-  // The ABORT record's prev_lsn points at the last operation to undo.
-  auto abort_rec = wal_.At(t->last_lsn());
-  if (!abort_rec.ok()) return abort_rec.status();
-  Lsn lsn = abort_rec->prev_lsn;
-  while (lsn != kInvalidLsn) {
-    auto rec = wal_.At(lsn);
-    if (!rec.ok()) return rec.status();
-    switch (rec->type) {
-      case wal::LogRecordType::kInsert:
-      case wal::LogRecordType::kDelete:
-      case wal::LogRecordType::kUpdate:
-        MORPH_RETURN_NOT_OK(UndoOne(t, *rec));
-        lsn = rec->prev_lsn;
-        break;
-      case wal::LogRecordType::kClr:
-        // Already-compensated suffix (only possible after restart recovery
-        // resumed a partial rollback); skip to what is still to undo.
-        lsn = rec->undo_next_lsn;
-        break;
-      case wal::LogRecordType::kBegin:
-        lsn = kInvalidLsn;
-        break;
-      default:
-        lsn = rec->prev_lsn;
-        break;
-    }
-  }
+  // The walk starts at the ABORT record, whose prev_lsn is the last
+  // operation to undo; each CLR becomes the transaction's last LSN.
+  const Result<size_t> undone =
+      Recovery::Undo(&wal_, &catalog_, t->id(), t->last_lsn(),
+                     /*restart=*/false,
+                     [&](Lsn clr_lsn) { t->set_last_lsn(clr_lsn); });
+  MORPH_RETURN_NOT_OK(undone.status());
   MORPH_RETURN_NOT_OK(txns_.EndAbort(t));
   MORPH_COUNTER_INC("engine.txn.aborts");
   if (TransformHook* hook = hook_.load(std::memory_order_acquire)) {
@@ -111,67 +92,6 @@ Status Database::Abort(const TxnPtr& t) {
   }
   locks_.ReleaseAll(t->id());
   return Status::OK();
-}
-
-Status Database::UndoOne(const TxnPtr& t, const wal::LogRecord& rec) {
-  // If the table was dropped since the operation (e.g. an aborted
-  // transformation's target), there is nothing to compensate physically,
-  // but the CLR is still written so the undo chain stays well-formed.
-  auto table = catalog_.GetById(rec.table_id);
-
-  wal::LogRecord clr;
-  clr.type = wal::LogRecordType::kClr;
-  clr.txn_id = t->id();
-  clr.prev_lsn = t->last_lsn();
-  clr.table_id = rec.table_id;
-  clr.key = rec.key;
-  clr.undo_next_lsn = rec.prev_lsn;
-
-  switch (rec.type) {
-    case wal::LogRecordType::kInsert:
-      clr.clr_action = wal::ClrAction::kUndoInsert;
-      clr.before = rec.after;
-      break;
-    case wal::LogRecordType::kDelete:
-      clr.clr_action = wal::ClrAction::kUndoDelete;
-      clr.after = rec.before;
-      break;
-    case wal::LogRecordType::kUpdate:
-      clr.clr_action = wal::ClrAction::kUndoUpdate;
-      clr.updated_columns = rec.updated_columns;
-      // Swapped images: the CLR re-applies the before-values.
-      clr.before_values = rec.after_values;
-      clr.after_values = rec.before_values;
-      break;
-    default:
-      return Status::Internal("UndoOne on non-data log record");
-  }
-
-  const Lsn clr_lsn = wal_.Append(clr);
-  t->set_last_lsn(clr_lsn);
-
-  if (table == nullptr) return Status::OK();
-  std::shared_lock latch(table->latch_for(rec.key));
-  switch (rec.type) {
-    case wal::LogRecordType::kInsert:
-      return table->Delete(rec.key);
-    case wal::LogRecordType::kDelete: {
-      storage::Record record;
-      record.row = rec.before;
-      record.lsn = clr_lsn;
-      return table->Insert(std::move(record));
-    }
-    case wal::LogRecordType::kUpdate:
-      return table->Mutate(rec.key, [&](storage::Record* r) {
-        for (size_t i = 0; i < rec.updated_columns.size(); ++i) {
-          r->row[rec.updated_columns[i]] = rec.before_values[i];
-        }
-        r->lsn = clr_lsn;
-        return true;
-      });
-    default:
-      return Status::Internal("unreachable");
-  }
 }
 
 Status Database::OpGate(const TxnPtr& t, storage::Table* table, const Row& key,

@@ -100,7 +100,8 @@ class Database {
   bool wal_failed() const { return wal_failed_.load(std::memory_order_acquire); }
 
   /// \brief Aborts: logs ABORT, undoes this transaction's operations in
-  /// reverse LSN order writing a CLR per undone operation, logs TXN_END,
+  /// reverse LSN order writing a CLR per undone operation (the undo-chain
+  /// walk restart recovery runs too, Recovery::Undo), logs TXN_END,
   /// releases locks.
   Status Abort(const TxnPtr& t);
 
@@ -162,9 +163,6 @@ class Database {
   }
 
  private:
-  /// Applies the inverse of `rec` to storage and writes a CLR.
-  Status UndoOne(const TxnPtr& t, const wal::LogRecord& rec);
-
   /// Common per-operation prologue (before the table latch): hook gate
   /// (may block) + record lock.
   Status OpGate(const TxnPtr& t, storage::Table* table, const Row& key,

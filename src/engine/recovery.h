@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <unordered_map>
 
 #include "common/result.h"
@@ -17,29 +18,43 @@ namespace morph::engine {
 ///
 /// The engine is main-memory, so restart means: recreate the table schemas
 /// (caller's job — DDL is not logged, exactly like the paper's prototype),
-/// then Restart() rebuilds table contents from the log:
+/// then rebuild table contents from the log. There is one recovery pass,
+/// Recover(), and both entry points run it: Restart from the log's first
+/// record over empty tables with an empty active-transaction table (ATT);
+/// Checkpointer::Restore from a checkpoint's redo start over the snapshot
+/// contents with the ATT its meta file recorded.
 ///
 ///  1. **Analysis + redo** in one forward pass: every data record (INSERT /
-///     DELETE / UPDATE / CLR) is re-applied in LSN order to the initially
-///     empty tables; the active-transaction table is reconstructed on the
-///     side (BEGIN adds, COMMIT / TXN_END removes).
+///     DELETE / UPDATE / CLR) goes through Apply in redo mode, which skips
+///     what the stored state already reflects; the ATT is maintained on the
+///     side (BEGIN / ABORT / data records add, COMMIT / TXN_END remove).
 ///  2. **Undo**: every loser transaction's chain is walked backwards from
-///     its last LSN; data operations are compensated, each writing a CLR to
-///     the log; already-compensated suffixes are skipped via undo_next_lsn.
-///     Each loser ends with a TXN_END record.
+///     its last LSN by Undo — the same walk a user Abort runs; data
+///     operations are compensated, each writing a CLR to the log;
+///     already-compensated suffixes are skipped via undo_next_lsn. Each
+///     loser ends with a TXN_END record.
 ///
-/// Re-running Restart on the extended log is idempotent: the second pass
+/// Re-running recovery on the extended log is idempotent: the second pass
 /// finds no losers.
 class Recovery {
  public:
+  /// What one recovery pass did.
   struct Stats {
+    size_t snapshot_records = 0;  ///< loaded from checkpoint snapshots
     size_t records_scanned = 0;
     size_t redone = 0;
+    /// Data records redo left alone: the stored state already reflected
+    /// them (see Apply).
+    size_t skipped_by_lsn = 0;
     size_t losers = 0;
     size_t undone = 0;  ///< CLRs written during the undo pass
   };
 
-  /// \brief Rebuilds the contents of the tables in `catalog` from `wal`.
+  /// Active-transaction table: loser candidate -> its undo-chain head.
+  using Att = std::unordered_map<TxnId, Lsn>;
+
+  /// \brief Rebuilds the contents of the tables in `catalog` from `wal`:
+  /// Recover from FirstLsn() with an empty ATT.
   ///
   /// Tables must exist (matching the TableIds in the log — recreate them in
   /// the original creation order) and be empty. Records whose table id is
@@ -55,13 +70,41 @@ class Recovery {
                                       const wal::WalOptions& options,
                                       storage::Catalog* catalog);
 
-  /// \brief The undo pass, shared with checkpoint-based restart
-  /// (engine::Checkpointer): rolls back each loser from its undo-chain
-  /// head, writing CLRs and a final TXN_END. Returns the number of
-  /// operations compensated.
-  static Result<size_t> UndoLosers(
-      wal::Wal* wal, storage::Catalog* catalog,
-      const std::unordered_map<TxnId, Lsn>& losers);
+  /// \brief The one analysis + redo + undo pass: scans `wal` from `from` to
+  /// its end (a gap is Corruption, never skipped), redoing data records and
+  /// tracking the ATT seeded with `att`, then undoes every loser.
+  static Result<Stats> Recover(wal::Wal* wal, storage::Catalog* catalog,
+                               Lsn from, Att att);
+
+  /// How Apply treats a record.
+  enum class Mode {
+    /// Skip when the stored state already reflects the record: the stored
+    /// LSN is at or above the record's, an INSERT's key is already stored,
+    /// or a DELETE's / UPDATE's key is absent. Otherwise apply.
+    kRedo,
+    /// Always apply; any storage error is returned.
+    kUndo,
+  };
+
+  /// \brief The one rule that applies a data record (INSERT / DELETE /
+  /// UPDATE) or a CLR to `table`, stamping the touched record with the log
+  /// record's LSN. Returns whether the table changed.
+  static Result<bool> Apply(const wal::LogRecord& rec, storage::Table* table,
+                            Mode mode);
+
+  /// \brief The one undo-chain walk, shared by Database::Abort and the
+  /// restart undo pass: walks `txn`'s chain backwards from `from` (its last
+  /// LSN: an ABORT, a data record or a CLR) to its BEGIN, skipping
+  /// already-compensated suffixes via CLRs' undo_next_lsn. Each data
+  /// operation gets a CLR appended (its prev_lsn the chain head so far,
+  /// initially `from`), reported to `on_clr`, and applied in undo mode
+  /// under the key's tablet latch held shared. The CLR is written even
+  /// when the table is gone, so the chain stays well-formed. With
+  /// `restart` set, failpoint `engine.recovery.undo_record` fires before
+  /// each compensation. Returns the number of operations compensated.
+  static Result<size_t> Undo(wal::Wal* wal, storage::Catalog* catalog,
+                             TxnId txn, Lsn from, bool restart,
+                             const std::function<void(Lsn clr_lsn)>& on_clr);
 };
 
 }  // namespace morph::engine

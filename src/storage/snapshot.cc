@@ -1,60 +1,60 @@
 #include "storage/snapshot.h"
 
-#include <fstream>
-
-#include "common/codec.h"
-
 namespace morph::storage {
 
 namespace {
 constexpr uint32_t kMagic = 0x4d534e50;  // "MSNP"
 }
 
-Status TableSnapshot::Save(const Table& table, const std::string& path) {
-  std::string buf;
-  codec::PutU32(&buf, kMagic);
+void TableSnapshot::Encode(const Table& table, std::string* out) {
+  codec::PutU32(out, kMagic);
   // Record count patched in after the scan (fuzzy: size() is advisory).
-  const size_t count_pos = buf.size();
-  codec::PutU64(&buf, 0);
+  const size_t count_pos = out->size();
+  codec::PutU64(out, 0);
   uint64_t count = 0;
   table.FuzzyScan([&](const Record& rec) {
-    codec::PutRow(&buf, rec.row);
-    codec::PutU64(&buf, rec.lsn);
-    codec::PutI64(&buf, rec.counter);
-    codec::PutU8(&buf, rec.consistent ? 1 : 0);
+    codec::PutRow(out, rec.row);
+    codec::PutU64(out, rec.lsn);
+    codec::PutI64(out, rec.counter);
+    codec::PutU8(out, rec.consistent ? 1 : 0);
     count++;
   });
   std::string count_bytes;
   codec::PutU64(&count_bytes, count);
-  buf.replace(count_pos, count_bytes.size(), count_bytes);
+  out->replace(count_pos, count_bytes.size(), count_bytes);
+}
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  if (!out) return Status::IOError("short write to " + path);
+Status TableSnapshot::Decode(Table* table, codec::Reader* r,
+                             const std::string& source) {
+  if (r->GetU32() != kMagic) {
+    return Status::Corruption("bad snapshot magic in " + source);
+  }
+  const uint64_t count = r->GetU64();
+  for (uint64_t i = 0; i < count; ++i) {
+    Record rec;
+    rec.row = r->GetRow();
+    rec.lsn = r->GetU64();
+    rec.counter = r->GetI64();
+    rec.consistent = r->GetU8() != 0;
+    if (r->failed) break;
+    MORPH_RETURN_NOT_OK(table->Insert(std::move(rec)));
+  }
+  if (r->failed) return Status::Corruption("truncated snapshot " + source);
   return Status::OK();
 }
 
+Status TableSnapshot::Save(const Table& table, const std::string& path) {
+  std::string buf;
+  Encode(table, &buf);
+  return IoEnv::Default().WriteFileAtomic(path, buf, kFileSites);
+}
+
 Status TableSnapshot::Load(Table* table, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path + " for reading");
-  std::string buf((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
+  MORPH_ASSIGN_OR_RETURN(const std::string buf,
+                         IoEnv::Default().ReadFile(path, kReadSite));
   codec::Reader r{buf, 0, false};
-  if (r.GetU32() != kMagic) {
-    return Status::Corruption("bad snapshot magic in " + path);
-  }
-  const uint64_t count = r.GetU64();
-  for (uint64_t i = 0; i < count; ++i) {
-    Record rec;
-    rec.row = r.GetRow();
-    rec.lsn = r.GetU64();
-    rec.counter = r.GetI64();
-    rec.consistent = r.GetU8() != 0;
-    if (r.failed) break;
-    MORPH_RETURN_NOT_OK(table->Insert(std::move(rec)));
-  }
-  if (r.failed || r.pos != buf.size()) {
+  MORPH_RETURN_NOT_OK(Decode(table, &r, path));
+  if (r.pos != buf.size()) {
     return Status::Corruption("truncated snapshot " + path);
   }
   return Status::OK();

@@ -19,22 +19,80 @@ constexpr uint32_t kFormatVersion = 1;
 /// [magic][version][segment id][first expected LSN]
 constexpr size_t kSegmentHeaderBytes = 4 + 4 + 8 + 8;
 
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// fsync, rename, fsync the directory. The previous file (if any) survives
-/// any crash before the rename; after the directory fsync the new content is
-/// complete and the rename is persistent. A failure before the rename
-/// leaves an orphan `*.tmp` that Open's sweep removes.
-Status AtomicWriteFile(IoEnv* env, const std::string& path,
-                       const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    MORPH_ASSIGN_OR_RETURN(std::unique_ptr<IoFile> file,
-                           env->OpenForWrite(tmp, "wal.manifest.write"));
-    MORPH_RETURN_NOT_OK(file->Write(bytes, "wal.manifest.write"));
-    MORPH_RETURN_NOT_OK(file->Sync("wal.manifest.fsync"));
+/// The manifest rewrite's sites. A failure before the rename leaves an
+/// orphan `*.tmp` that Open's sweep removes.
+constexpr IoEnv::AtomicWriteSites kManifestSites{
+    "wal.manifest.write", "wal.manifest.fsync", "wal.manifest.rename",
+    "wal.dirsync"};
+
+/// What ReadSegment found in a segment buffer.
+struct SegmentRead {
+  std::string damage;    ///< the first damage, what and where; empty if none
+  bool torn = false;     ///< the damage is a short frame or checksum mismatch,
+                         ///< what a crash mid-flush leaves at the chain's tail
+  size_t valid_end = 0;  ///< end offset of the last good frame
+};
+
+/// The one reader of a segment file's bytes: checks the header against
+/// segment `id`, then hands each frame's record to `fn` in file order until
+/// the buffer ends or the first damage. `*prev_lsn` is the LSN the next
+/// record must follow (kInvalidLsn: any); it is advanced past every record
+/// handed out, so a caller can carry it across the segments of a chain.
+/// The caller decides what damage means: Open trims a torn tail of the last
+/// segment and treats everything else as Corruption; Scrub reports any.
+SegmentRead ReadSegment(const std::string& buf, uint64_t id, Lsn* prev_lsn,
+                        const std::function<void(LogRecord&&)>& fn) {
+  SegmentRead out;
+  const auto damage = [&](std::string what, bool torn = false) {
+    out.damage = std::move(what);
+    out.torn = torn;
+    return out;
+  };
+  if (buf.size() < kSegmentHeaderBytes) {
+    // The header is written and flushed at segment creation, before the
+    // manifest mentions the segment; a short header is real damage.
+    return damage("truncated header");
   }
-  MORPH_RETURN_NOT_OK(env->Rename(tmp, path, "wal.manifest.rename"));
-  return env->SyncDir(path, "wal.dirsync");
+  codec::Reader header{buf, 0, false};
+  if (header.GetU32() != kSegmentMagic || header.GetU32() != kFormatVersion ||
+      header.GetU64() != id) {
+    return damage("bad header");
+  }
+  // The header's first expected LSN is informational only.
+  size_t offset = kSegmentHeaderBytes;
+  out.valid_end = offset;
+  const auto at = [&](const char* what) {
+    return what + (" at offset " + std::to_string(offset));
+  };
+  while (offset < buf.size()) {
+    if (buf.size() - offset < 8) {
+      return damage(at("torn frame header"), /*torn=*/true);
+    }
+    codec::Reader frame{buf, offset, false};
+    const uint32_t size = frame.GetU32();
+    const uint32_t checksum = frame.GetU32();
+    if (buf.size() - frame.pos < size) {
+      return damage(at("torn frame"), /*torn=*/true);
+    }
+    const std::string_view payload(buf.data() + frame.pos, size);
+    if (FrameChecksum(payload) != checksum) {
+      return damage(at("checksum mismatch"), /*torn=*/true);
+    }
+    size_t payload_offset = 0;
+    auto rec = LogRecord::Decode(payload, &payload_offset);
+    if (!rec.ok() || payload_offset != size) {
+      return damage(at("frame") + " has a valid checksum but does not decode");
+    }
+    if (*prev_lsn != kInvalidLsn && rec->lsn != *prev_lsn + 1) {
+      return damage("LSN gap " + std::to_string(*prev_lsn) + " -> " +
+                    std::to_string(rec->lsn));
+    }
+    *prev_lsn = rec->lsn;
+    offset = frame.pos + size;
+    out.valid_end = offset;
+    fn(std::move(rec).ValueOrDie());
+  }
+  return out;
 }
 
 }  // namespace
@@ -179,75 +237,29 @@ Result<Lsn> SegmentedLog::Open(
       return damaged("WAL manifest lists missing/unreadable segment " + path +
                      " (" + buf_result.status().ToString() + ")");
     }
-    const std::string& buf = *buf_result;
-    if (buf.size() < kSegmentHeaderBytes) {
-      // The header is written and flushed at segment creation, before the
-      // manifest mentions the segment; a short header is real damage.
-      return damaged("segment " + path + " has a truncated header");
-    }
-    codec::Reader header{buf, 0, false};
-    if (header.GetU32() != kSegmentMagic ||
-        header.GetU32() != kFormatVersion || header.GetU64() != id) {
-      return damaged("segment " + path + " has a bad header");
-    }
-    (void)header.GetU64();  // first expected LSN; informational
-
     Segment seg;
     seg.id = id;
-    size_t offset = kSegmentHeaderBytes;
-    size_t valid_end = offset;
-    bool quarantine_mid_segment = false;
-    Status quarantine_status;
-    while (offset < buf.size()) {
-      if (buf.size() - offset >= 8) {
-        codec::Reader frame{buf, offset, false};
-        const uint32_t size = frame.GetU32();
-        const uint32_t checksum = frame.GetU32();
-        if (buf.size() - frame.pos >= size) {
-          const std::string_view payload(buf.data() + frame.pos, size);
-          if (FrameChecksum(payload) == checksum) {
-            size_t payload_offset = 0;
-            auto rec = LogRecord::Decode(payload, &payload_offset);
-            if (!rec.ok() || payload_offset != size) {
-              return damaged("WAL segment " + path + " frame at offset " +
-                             std::to_string(offset) +
-                             " has a valid checksum but does not decode");
-            }
-            const Lsn lsn = rec->lsn;
-            if (prev_lsn != kInvalidLsn && lsn != prev_lsn + 1) {
-              return damaged("WAL segment chain has an LSN gap: " +
-                             std::to_string(prev_lsn) + " -> " +
-                             std::to_string(lsn) + " in " + path);
-            }
-            prev_lsn = lsn;
-            if (seg.first_lsn == kInvalidLsn) seg.first_lsn = lsn;
-            seg.last_lsn = lsn;
-            seg.bytes += 8 + size;
-            offset = frame.pos + size;
-            valid_end = offset;
-            if (lsn >= base_lsn_) {
-              replay(std::move(rec).ValueOrDie());
-              replayed++;
-            }
-            continue;
+    const SegmentRead read =
+        ReadSegment(*buf_result, id, &prev_lsn, [&](LogRecord&& rec) {
+          if (seg.first_lsn == kInvalidLsn) seg.first_lsn = rec.lsn;
+          seg.last_lsn = rec.lsn;
+          if (rec.lsn >= base_lsn_) {
+            replay(std::move(rec));
+            replayed++;
           }
-        }
-      }
-      // Torn frame. Only the chain's very tail may be torn (crash mid
-      // flush); the same artifact mid-chain means records are missing and
-      // replay must not continue past the hole.
-      if (!is_last) {
-        quarantine_status = damaged("torn frame mid-chain in WAL segment " +
-                                    path + " at offset " +
-                                    std::to_string(offset));
-        quarantine_mid_segment = true;
-        break;
-      }
+        });
+    if (read.torn && is_last) {
+      // Only the chain's very tail may be torn (crash mid flush); the same
+      // artifact mid-chain means records are missing and replay must not
+      // continue past the hole.
       MORPH_COUNTER_INC("wal.segment.torn_tails");
-      MORPH_RETURN_NOT_OK(env_->Truncate(path, valid_end, "wal.segment.truncate"));
-      break;
+      MORPH_RETURN_NOT_OK(
+          env_->Truncate(path, read.valid_end, "wal.segment.truncate"));
+    } else if (!read.damage.empty()) {
+      return damaged("WAL segment " + path + " is damaged: " + read.damage +
+                     (read.torn ? " mid-chain" : ""));
     }
-    if (quarantine_mid_segment) return quarantine_status;
+    seg.bytes = read.valid_end - kSegmentHeaderBytes;
     segments_.push_back(seg);
   }
 
@@ -339,7 +351,8 @@ Status SegmentedLog::WriteManifestLocked() {
   codec::PutU64(&buf, next_segment_id_);
   codec::PutU32(&buf, static_cast<uint32_t>(segments_.size()));
   for (const Segment& seg : segments_) codec::PutU64(&buf, seg.id);
-  const Status st = AtomicWriteFile(env_, ManifestPath(options_.dir), buf);
+  const Status st =
+      env_->WriteFileAtomic(ManifestPath(options_.dir), buf, kManifestSites);
   if (st.ok()) {
     manifest_dirty_ = false;
   } else if (st.IsRetryable()) {
@@ -594,40 +607,10 @@ Status SegmentedLog::Scrub() {
     if (!buf_result.ok()) {
       return corrupt("unreadable: " + buf_result.status().ToString());
     }
-    const std::string& buf = *buf_result;
-    if (buf.size() < kSegmentHeaderBytes) return corrupt("truncated header");
-    codec::Reader header{buf, 0, false};
-    if (header.GetU32() != kSegmentMagic ||
-        header.GetU32() != kFormatVersion || header.GetU64() != seg.id) {
-      return corrupt("bad header");
-    }
-    size_t offset = kSegmentHeaderBytes;
     Lsn prev = kInvalidLsn;
-    while (offset < buf.size()) {
-      if (buf.size() - offset < 8) return corrupt("torn frame header");
-      codec::Reader frame{buf, offset, false};
-      const uint32_t size = frame.GetU32();
-      const uint32_t checksum = frame.GetU32();
-      if (buf.size() - frame.pos < size) {
-        return corrupt("torn frame at offset " + std::to_string(offset));
-      }
-      const std::string_view payload(buf.data() + frame.pos, size);
-      if (FrameChecksum(payload) != checksum) {
-        return corrupt("checksum mismatch at offset " + std::to_string(offset));
-      }
-      size_t payload_offset = 0;
-      auto rec = LogRecord::Decode(payload, &payload_offset);
-      if (!rec.ok() || payload_offset != size) {
-        return corrupt("undecodable frame at offset " + std::to_string(offset));
-      }
-      if (prev != kInvalidLsn && rec->lsn != prev + 1) {
-        return corrupt("LSN gap " + std::to_string(prev) + " -> " +
-                       std::to_string(rec->lsn));
-      }
-      prev = rec->lsn;
-      frames_verified++;
-      offset = frame.pos + size;
-    }
+    const SegmentRead read = ReadSegment(
+        *buf_result, seg.id, &prev, [&](LogRecord&&) { frames_verified++; });
+    if (!read.damage.empty()) return corrupt(read.damage);
     if (prev != seg.last_lsn) {
       return corrupt("file ends at LSN " + std::to_string(prev) +
                      " but the chain expects " + std::to_string(seg.last_lsn));

@@ -3,18 +3,23 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <thread>
 
+#include "common/failpoint.h"
 #include "common/random.h"
 
 #include "engine/checkpoint.h"
 #include "engine/database.h"
+#include "engine/recovery.h"
 #include "storage/snapshot.h"
 #include "tests/test_util.h"
 
 namespace morph::engine {
 namespace {
 
+using morph::testing::RowsToString;
 using morph::testing::Sorted;
 using morph::testing::SortedRows;
 
@@ -232,6 +237,94 @@ TEST(CheckpointTest, ConcurrentWritersFuzzyCheckpointConverges) {
   EXPECT_EQ(SortedRows(*t2), SortedRows(*table));
 }
 
+TEST(CheckpointTest, FailedWriteKeepsPreviousCheckpoint) {
+  const std::string dir = FreshDir("failed_write");
+  Database db;
+  ASSERT_TRUE(db.wal()->OpenDurable(WalIn(dir)).ok());
+  auto a = *db.CreateTable("a", AccountSchema());
+  auto b = *db.CreateTable("b", AccountSchema());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 100; ++i) rows.push_back(Row({i, i}));
+  ASSERT_TRUE(db.BulkLoad(a.get(), rows).ok());
+  ASSERT_TRUE(db.BulkLoad(b.get(), rows).ok());
+  auto first = Checkpointer::Write(&db, dir);
+  ASSERT_TRUE(first.ok());
+
+  // Each later checkpoint fails at one step of its file write: the write
+  // (hit 2; hit 1 opens the temp file), the fsync, or the rename.
+  const std::pair<const char*, uint64_t> faults[] = {
+      {"engine.checkpoint.file.write", 2},
+      {"engine.checkpoint.file.fsync", 1},
+      {"engine.checkpoint.file.rename", 1}};
+  int64_t round = 0;
+  for (const auto& [site, hit] : faults) {
+    round++;
+    for (int64_t i = 0; i < 20; ++i) {
+      auto txn = db.Begin();
+      const Value v(-100 * round - i);
+      ASSERT_TRUE(db.Update(txn, a.get(), Row({i}), {{1, v}}).ok());
+      ASSERT_TRUE(db.Update(txn, b.get(), Row({i}), {{1, v}}).ok());
+      ASSERT_TRUE(db.Commit(txn).ok());
+    }
+    Failpoints::Config eio;
+    eio.action = Failpoints::Action::kEio;
+    eio.fire_on_hit = hit;
+    eio.max_fires = 1;
+    Failpoints::Instance().Enable(site, eio);
+    EXPECT_FALSE(Checkpointer::Write(&db, dir).ok()) << site;
+    EXPECT_EQ(Failpoints::Instance().fires(site), 1u) << site;
+    Failpoints::Instance().DisableAll();
+    auto on_disk = Checkpointer::ReadMeta(dir);
+    ASSERT_TRUE(on_disk.ok()) << site << ": " << on_disk.status().ToString();
+    EXPECT_EQ(on_disk->guard_lsn, first->guard_lsn) << site;
+  }
+  morph::testing::SyncAndCrash(db.wal());
+
+  // The first checkpoint plus the log suffix still restores the oracle.
+  Database db2;
+  auto a2 = *db2.CreateTable("a", AccountSchema());
+  auto b2 = *db2.CreateTable("b", AccountSchema());
+  ASSERT_TRUE(db2.wal()->OpenDurable(WalIn(dir)).ok());
+  auto stats = Checkpointer::Restore(dir, db2.wal(), db2.catalog());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(SortedRows(*a2), SortedRows(*a));
+  EXPECT_EQ(SortedRows(*b2), SortedRows(*b));
+}
+
+TEST(CheckpointTest, BulkLoadDuplicateRecoversAsInMemory) {
+  const std::string dir = FreshDir("bulkload_dup");
+  Database db;
+  ASSERT_TRUE(db.wal()->OpenDurable(WalIn(dir)).ok());
+  auto table = *db.CreateTable("t", AccountSchema());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 10; ++i) rows.push_back(Row({i, i}));
+  ASSERT_TRUE(db.BulkLoad(table.get(), rows).ok());
+  ASSERT_TRUE(Checkpointer::Write(&db, dir).ok());
+  // Logged before the Insert fails: the log now holds an INSERT of key 3
+  // above the LSN the stored (and snapshotted) row carries.
+  EXPECT_TRUE(db.BulkLoad(table.get(), {Row({3, 333})}).IsAlreadyExists());
+  const std::vector<Row> expected = SortedRows(*table);
+  morph::testing::SyncAndCrash(db.wal());
+  std::filesystem::copy(dir + "/wal", dir + "/wal_copy",
+                        std::filesystem::copy_options::recursive);
+
+  Database restarted;
+  auto t1 = *restarted.CreateTable("t", AccountSchema());
+  auto restart = Recovery::RestartDurable(restarted.wal(), WalIn(dir),
+                                          restarted.catalog());
+  ASSERT_TRUE(restart.ok()) << restart.status().ToString();
+  EXPECT_EQ(SortedRows(*t1), expected);
+
+  Database restored;
+  auto t2 = *restored.CreateTable("t", AccountSchema());
+  wal::WalOptions copy;
+  copy.dir = dir + "/wal_copy";
+  ASSERT_TRUE(restored.wal()->OpenDurable(copy).ok());
+  auto restore = Checkpointer::Restore(dir, restored.wal(), restored.catalog());
+  ASSERT_TRUE(restore.ok()) << restore.status().ToString();
+  EXPECT_EQ(SortedRows(*t2), expected);
+}
+
 TEST(CheckpointTest, RestoreRequiresRecreatedTables) {
   const std::string dir = FreshDir("missing");
   Database db;
@@ -244,6 +337,171 @@ TEST(CheckpointTest, RestoreRequiresRecreatedTables) {
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(Checkpointer::ReadMeta("/nonexistent").status().IsIOError());
+}
+
+// --- Restart and Restore agree ----------------------------------------------
+
+/// Copies `from`'s whole log into the fresh in-memory `to`: the log a crash
+/// leaves behind. Appends re-assign the same LSNs, since `from` was never
+/// truncated.
+void CopyLog(const wal::Wal& from, wal::Wal* to) {
+  for (Lsn lsn = from.FirstLsn(); lsn <= from.LastLsn(); ++lsn) {
+    auto rec = from.At(lsn);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ASSERT_EQ(to->Append(*rec), lsn);
+  }
+}
+
+/// One seeded single-threaded history over two tables: inserts, updates and
+/// deletes on a small key domain (so keys are deleted and re-inserted),
+/// BulkLoads of new and of duplicate rows, and up to four interleaved
+/// transactions that commit, abort, or are still open at the crash (the
+/// losers). A checkpoint is taken at a random step. Then Restart over the
+/// full log and Restore from the checkpoint over the log truncated to its
+/// floor must both rebuild the committed state, with the same losers.
+void RunRecoveryDifferential(uint64_t seed, const std::string& dir) {
+  constexpr int kTables = 2;
+  constexpr int64_t kKeys = 12;
+  using Key = std::pair<int, int64_t>;  // table index, id
+  struct Open {
+    TxnPtr txn;
+    std::map<Key, std::optional<int64_t>> writes;  // nullopt = deleted
+  };
+
+  morph::Random rng(seed);
+  Database db;
+  std::shared_ptr<storage::Table> tables[kTables] = {
+      *db.CreateTable("a", AccountSchema()),
+      *db.CreateTable("b", AccountSchema())};
+  std::map<int64_t, int64_t> committed[kTables];
+  std::vector<Open> open;
+  std::map<Key, size_t> owner;  // key -> index into `open` holding its lock
+  const auto finish = [&](size_t i, bool commit) {
+    if (commit) {
+      for (const auto& [key, value] : open[i].writes) {
+        if (value) {
+          committed[key.first][key.second] = *value;
+        } else {
+          committed[key.first].erase(key.second);
+        }
+      }
+    }
+    open.erase(open.begin() + static_cast<std::ptrdiff_t>(i));
+    owner.clear();
+    for (size_t j = 0; j < open.size(); ++j) {
+      for (const auto& entry : open[j].writes) owner[entry.first] = j;
+    }
+  };
+
+  const int steps = 30 + static_cast<int>(rng.Uniform(90));
+  const int checkpoint_step = static_cast<int>(rng.Uniform(steps));
+  CheckpointMeta meta;
+  for (int step = 0; step < steps; ++step) {
+    if (step == checkpoint_step) {
+      auto written = Checkpointer::Write(&db, dir);
+      ASSERT_TRUE(written.ok()) << written.status().ToString();
+      meta = *written;
+    }
+    const uint64_t roll = rng.Uniform(100);
+    if (open.empty() || (roll < 12 && open.size() < 4)) {
+      open.push_back(Open{db.Begin(), {}});
+      continue;
+    }
+    const size_t i = rng.Uniform(open.size());
+    if (roll < 20) {
+      ASSERT_TRUE(db.Commit(open[i].txn).ok());
+      finish(i, /*commit=*/true);
+      continue;
+    }
+    if (roll < 27) {
+      ASSERT_TRUE(db.Abort(open[i].txn).ok());
+      finish(i, /*commit=*/false);
+      continue;
+    }
+    const int t = static_cast<int>(rng.Uniform(kTables));
+    const Key key{t, static_cast<int64_t>(rng.Uniform(kKeys))};
+    auto locked = owner.find(key);
+    const int64_t value = rng.UniformRange(-1000, 1000);
+    if (roll < 33) {
+      // BulkLoad takes no locks; it logs even when the key is stored.
+      if (locked != owner.end()) continue;
+      const bool stored = committed[t].count(key.second) > 0;
+      const Status st =
+          db.BulkLoad(tables[t].get(), {Row({key.second, value})});
+      if (stored) {
+        ASSERT_TRUE(st.IsAlreadyExists()) << st.ToString();
+      } else {
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        committed[t][key.second] = value;
+      }
+      continue;
+    }
+    if (locked != owner.end() && locked->second != i) continue;
+    Open& txn = open[i];
+    auto own = txn.writes.find(key);
+    const bool present = own != txn.writes.end()
+                             ? own->second.has_value()
+                             : committed[t].count(key.second) > 0;
+    storage::Table* table = tables[t].get();
+    if (!present) {
+      ASSERT_TRUE(db.Insert(txn.txn, table, Row({key.second, value})).ok());
+      txn.writes[key] = value;
+    } else if (rng.Bernoulli(0.6)) {
+      ASSERT_TRUE(
+          db.Update(txn.txn, table, Row({key.second}), {{1, Value(value)}})
+              .ok());
+      txn.writes[key] = value;
+    } else {
+      ASSERT_TRUE(db.Delete(txn.txn, table, Row({key.second})).ok());
+      txn.writes[key] = std::nullopt;
+    }
+    owner[key] = i;
+  }
+  // Crash: the transactions still open are the losers.
+
+  Database restarted;
+  Database restored;
+  for (Database* r : {&restarted, &restored}) {
+    ASSERT_TRUE(r->CreateTable("a", AccountSchema()).ok());
+    ASSERT_TRUE(r->CreateTable("b", AccountSchema()).ok());
+  }
+  CopyLog(*db.wal(), restarted.wal());
+  CopyLog(*db.wal(), restored.wal());
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  restored.wal()->TruncateBefore(meta.truncate_floor());
+
+  auto restart = Recovery::Restart(restarted.wal(), restarted.catalog());
+  ASSERT_TRUE(restart.ok()) << restart.status().ToString();
+  auto restore = Checkpointer::Restore(dir, restored.wal(), restored.catalog());
+  ASSERT_TRUE(restore.ok()) << restore.status().ToString();
+  EXPECT_EQ(restart->losers, open.size());
+  EXPECT_EQ(restore->losers, restart->losers);
+  for (int t = 0; t < kTables; ++t) {
+    std::vector<Row> expected;
+    for (const auto& [id, balance] : committed[t]) {
+      expected.push_back(Row({id, balance}));
+    }
+    const std::string name = t == 0 ? "a" : "b";
+    const auto from_restart = SortedRows(*restarted.catalog()->GetByName(name));
+    const auto from_restore = SortedRows(*restored.catalog()->GetByName(name));
+    EXPECT_EQ(from_restart, expected) << "table " << name << " after Restart:\n"
+                                      << RowsToString(from_restart);
+    EXPECT_EQ(from_restore, from_restart)
+        << "table " << name << " after Restore:\n"
+        << RowsToString(from_restore);
+  }
+}
+
+TEST(RecoveryDifferentialTest, RestartAndRestoreAgreeOnSeededHistories) {
+  const std::string dir = FreshDir("differential");
+  for (uint64_t seed = 1; seed <= 250; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RunRecoveryDifferential(seed, dir);
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "recovery differential failed at seed " << seed;
+      return;
+    }
+  }
 }
 
 }  // namespace
