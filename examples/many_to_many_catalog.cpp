@@ -54,7 +54,6 @@ int main() {
   spec.r_join_column = "region";
   spec.s_join_column = "region";
   spec.target_table = "dispatch";
-  spec.many_to_many = true;
   auto rules = transform::FojRules::Make(&db, spec);
   auto shared_rules =
       std::shared_ptr<transform::FojRules>(std::move(rules).ValueOrDie());
