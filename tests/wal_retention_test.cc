@@ -178,6 +178,18 @@ TransformConfig SlowPropagationConfig() {
   return config;
 }
 
+// Ends a coordinator run promptly when an ASSERT leaves the test early;
+// otherwise the std::future running it would wait out max_duration_micros.
+struct StopRunOnExit {
+  TransformCoordinator* coord;
+  ~StopRunOnExit() {
+    Failpoints::Instance().Disable("transform.propagate.iteration");
+    coord->RequestAbort();
+    coord->SetPaused(false);
+    coord->SetSyncHold(false);
+  }
+};
+
 TEST(WalRetentionIntegrationTest, CheckpointTruncationDuringPropagation) {
   const std::string dir = FreshDir("interleave");
   FojFixture fx;
@@ -186,11 +198,26 @@ TEST(WalRetentionIntegrationTest, CheckpointTruncationDuringPropagation) {
   Failpoints::Instance().Delay("transform.propagate.iteration", 2'000);
 
   auto stats_f = std::async(std::launch::async, [&] { return coord.Run(); });
+  const StopRunOnExit stop{&coord};
   ASSERT_TRUE(WaitForPhase(coord, TransformCoordinator::Phase::kPropagating));
 
   // A burst of committed work the throttled propagator has not consumed.
   for (int i = 0; i < 150; ++i) {
     fx.CommitUpdate(i % 40, "ckpt" + std::to_string(i));
+  }
+
+  // Park propagation before the checkpoint, so the race window below does
+  // not depend on how long the checkpoint takes. Re-arming the site zeroes
+  // its hit counter; a hit counted after the pause is the top of an
+  // iteration that sees the pause and propagates nothing. Two hits leave a
+  // margin.
+  coord.SetPaused(true);
+  Failpoints::Instance().Delay("transform.propagate.iteration", 1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (Failpoints::Instance().hits("transform.propagate.iteration") < 2) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 
   // Housekeeping: fuzzy checkpoint, then archive the log up to its floor —
@@ -212,6 +239,7 @@ TEST(WalRetentionIntegrationTest, CheckpointTruncationDuringPropagation) {
 
   Failpoints::Instance().Disable("transform.propagate.iteration");
   coord.set_priority(1.0);
+  coord.SetPaused(false);
   coord.SetSyncHold(false);
   auto stats = stats_f.get();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
