@@ -155,10 +155,10 @@ Status IoEnv::Truncate(const std::string& path, uint64_t size,
 }
 
 Status IoEnv::SyncDir(const std::string& path, const char* site) {
-  std::string dir;
   const size_t slash = path.find_last_of('/');
-  dir = slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  const std::string dir = slash == std::string::npos ? std::string(".")
+                          : slash == 0               ? std::string("/")
+                                                     : path.substr(0, slash);
   MORPH_RETURN_NOT_OK(EvaluateErrorSite(site, dir));
   int fd;
   do {

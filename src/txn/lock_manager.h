@@ -23,7 +23,10 @@ struct RecordId {
   }
 
   std::string ToString() const {
-    return "t" + std::to_string(table) + key.ToString();
+    std::string out = "t";
+    out += std::to_string(table);
+    out += key.ToString();
+    return out;
   }
 };
 

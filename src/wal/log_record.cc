@@ -89,7 +89,9 @@ Result<LogRecord> LogRecord::Decode(std::string_view data, size_t* offset) {
 }
 
 std::string LogRecord::ToString() const {
-  std::string out = "[" + std::to_string(lsn) + "] ";
+  std::string out = "[";
+  out += std::to_string(lsn);
+  out += "] ";
   out += LogRecordTypeToString(type);
   out += " txn=" + std::to_string(txn_id);
   if (table_id != kInvalidTableId) out += " tbl=" + std::to_string(table_id);
@@ -105,8 +107,10 @@ std::string LogRecord::ToString() const {
       out += " set{";
       for (size_t i = 0; i < updated_columns.size(); ++i) {
         if (i) out += ", ";
-        out += "#" + std::to_string(updated_columns[i]) + "=" +
-               after_values[i].ToString();
+        out += '#';
+        out += std::to_string(updated_columns[i]);
+        out += '=';
+        out += after_values[i].ToString();
       }
       out += "}";
       break;

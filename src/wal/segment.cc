@@ -594,11 +594,14 @@ Status SegmentedLog::Scrub() {
     const std::string path = SegmentPath(options_.dir, seg.id);
     const auto corrupt = [&](const std::string& detail) {
       MORPH_COUNTER_INC("wal.scrub.corruptions");
-      std::string range =
-          seg.first_lsn == kInvalidLsn
-              ? std::string("no records")
-              : "[" + std::to_string(seg.first_lsn) + ", " +
-                    std::to_string(seg.last_lsn) + "]";
+      std::string range = "no records";
+      if (seg.first_lsn != kInvalidLsn) {
+        range = '[';
+        range += std::to_string(seg.first_lsn);
+        range += ", ";
+        range += std::to_string(seg.last_lsn);
+        range += ']';
+      }
       return Status::Corruption("scrub: closed segment " + path +
                                 " is damaged (" + detail + "); records " +
                                 range + " are at risk");

@@ -8,6 +8,7 @@
 
 #include "common/clock.h"
 #include "engine/database.h"
+#include "tests/test_util.h"
 #include "transform/priority.h"
 #include "transform/propagator.h"
 #include "transform/split.h"
@@ -15,6 +16,8 @@
 
 namespace morph::transform {
 namespace {
+
+using morph::testing::Numbered;
 
 TEST(PriorityControllerTest, FullPriorityNeverSleeps) {
   PriorityController pc(1.0);
@@ -135,7 +138,7 @@ TEST(PriorityControllerTest, ParallelPopulationPaysDutyIncludingSFlush) {
                          {"id"}));
   for (int64_t i = 0; i < 20'000; ++i) {
     storage::Record rec;
-    rec.row = Row({i, i % 4'000, "c" + std::to_string(i % 4'000)});
+    rec.row = Row({i, i % 4'000, Numbered("c", i % 4'000)});
     rec.lsn = static_cast<Lsn>(i + 1);
     ASSERT_TRUE(t->Insert(std::move(rec)).ok());
   }

@@ -106,6 +106,7 @@ inline TransformConfig CellConfig(const CellOptions& opts) {
 
 inline void DriveStream(engine::Database* db, Operator op, storage::Table* a,
                         storage::Table* b, uint64_t seed) {
+  using morph::testing::Numbered;
   Random rng(seed);
   for (size_t i = 0; i < 120; ++i) {
     auto t = db->Begin();
@@ -122,7 +123,7 @@ inline void DriveStream(engine::Database* db, Operator op, storage::Table* a,
             if (dice < 30) {
               st = db->Insert(t, a,
                               Row({id, static_cast<int64_t>(rng.Uniform(20)),
-                                   "p" + std::to_string(rng.Uniform(8))}));
+                                   Numbered("p", rng.Uniform(8))}));
             } else if (dice < 45) {
               st = db->Delete(t, a, Row({id}));
             } else if (dice < 70) {
@@ -131,18 +132,18 @@ inline void DriveStream(engine::Database* db, Operator op, storage::Table* a,
                   {{1, Value(static_cast<int64_t>(rng.Uniform(20)))}});
             } else {
               st = db->Update(t, a, Row({id}),
-                              {{2, Value("q" + std::to_string(dice))}});
+                              {{2, Value(Numbered("q", dice))}});
             }
           } else {
             const int64_t sid = static_cast<int64_t>(rng.Uniform(16));
             if (dice < 30) {
               st = db->Insert(
-                  t, b, Row({sid, 1000 + sid, "i" + std::to_string(dice)}));
+                  t, b, Row({sid, 1000 + sid, Numbered("i", dice)}));
             } else if (dice < 45) {
               st = db->Delete(t, b, Row({sid}));
             } else {
               st = db->Update(t, b, Row({sid}),
-                              {{2, Value("j" + std::to_string(dice))}});
+                              {{2, Value(Numbered("j", dice))}});
             }
           }
           break;
@@ -152,10 +153,10 @@ inline void DriveStream(engine::Database* db, Operator op, storage::Table* a,
           // FD holds — bucket moves update zip and city together.
           const int64_t id = static_cast<int64_t>(rng.Uniform(80));
           const int64_t zip = static_cast<int64_t>(7000 + rng.Uniform(8));
-          const std::string city = "city" + std::to_string(zip);
+          const std::string city = Numbered("city", zip);
           if (dice < 30) {
             st = db->Insert(t, a,
-                            Row({id, zip, city, "b" + std::to_string(dice)}));
+                            Row({id, zip, city, Numbered("b", dice)}));
           } else if (dice < 45) {
             st = db->Delete(t, a, Row({id}));
           } else if (dice < 70) {
@@ -163,7 +164,7 @@ inline void DriveStream(engine::Database* db, Operator op, storage::Table* a,
                             {{1, Value(zip)}, {2, Value(city)}});
           } else {
             st = db->Update(t, a, Row({id}),
-                            {{3, Value("b" + std::to_string(dice))}});
+                            {{3, Value(Numbered("b", dice))}});
           }
           break;
         }
@@ -173,14 +174,14 @@ inline void DriveStream(engine::Database* db, Operator op, storage::Table* a,
           const int64_t id = static_cast<int64_t>(rng.Uniform(80));
           const int64_t age = static_cast<int64_t>(rng.Uniform(200));
           if (dice < 30) {
-            st = db->Insert(t, a, Row({id, age, "e" + std::to_string(dice)}));
+            st = db->Insert(t, a, Row({id, age, Numbered("e", dice)}));
           } else if (dice < 45) {
             st = db->Delete(t, a, Row({id}));
           } else if (dice < 70) {
             st = db->Update(t, a, Row({id}), {{1, Value(age)}});
           } else {
             st = db->Update(t, a, Row({id}),
-                            {{2, Value("e" + std::to_string(dice))}});
+                            {{2, Value(Numbered("e", dice))}});
           }
           break;
         }
@@ -190,12 +191,12 @@ inline void DriveStream(engine::Database* db, Operator op, storage::Table* a,
           const int64_t id =
               static_cast<int64_t>(rng.Uniform(40)) * 2 + (side == b ? 1 : 0);
           if (dice < 35) {
-            st = db->Insert(t, side, Row({id, "v" + std::to_string(dice)}));
+            st = db->Insert(t, side, Row({id, Numbered("v", dice)}));
           } else if (dice < 55) {
             st = db->Delete(t, side, Row({id}));
           } else {
             st = db->Update(t, side, Row({id}),
-                            {{1, Value("w" + std::to_string(dice))}});
+                            {{1, Value(Numbered("w", dice))}});
           }
           break;
         }

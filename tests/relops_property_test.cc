@@ -10,6 +10,7 @@
 namespace morph {
 namespace {
 
+using morph::testing::Numbered;
 using morph::testing::Sorted;
 
 // Property tests of the relational operators against brute-force oracles,
@@ -98,7 +99,7 @@ TEST_P(RelOpsPropertyTest, SplitCountersSumToInputSize) {
   for (size_t i = 0; i < n; ++i) {
     const int64_t grp = static_cast<int64_t>(rng.Uniform(12));
     t.push_back(Row({static_cast<int64_t>(i), grp,
-                     "c" + std::to_string(grp % 3)}));
+                     Numbered("c", grp % 3)}));
   }
   auto result = Split(t, {0, 1}, {1, 2}, {0});
   EXPECT_EQ(result.r_rows.size(), n);

@@ -13,6 +13,8 @@
 namespace morph::storage {
 namespace {
 
+using morph::testing::Numbered;
+
 Schema TwoColSchema() {
   return *Schema::Make({{"id", ValueType::kInt64, false},
                         {"val", ValueType::kString, true}},
@@ -470,7 +472,7 @@ TEST(TableBatchTest, ReserveLeavesContentsAndLookupsUnchanged) {
     for (int64_t b = 0; b < 4; ++b) {
       std::vector<Record> batch;
       for (int64_t i = b * 100; i < (b + 1) * 100; ++i) {
-        batch.push_back(Rec(i, "v" + std::to_string(i % 7), i + 1));
+        batch.push_back(Rec(i, Numbered("v", i % 7), i + 1));
       }
       ASSERT_TRUE(t->InsertBatch(std::move(batch)).ok());
     }
@@ -492,7 +494,7 @@ TEST(TableBatchTest, ReserveLeavesContentsAndLookupsUnchanged) {
   for (Table* t : {&before, &after}) {
     EXPECT_EQ(morph::testing::SortedRows(*t), expected) << t->name();
     for (int64_t v = 0; v < 7; ++v) {
-      const Row key({"v" + std::to_string(v)});
+      const Row key({Numbered("v", v)});
       EXPECT_EQ(morph::testing::Sorted(t->GetIndex("by_val")->Lookup(key)),
                 morph::testing::Sorted(plain.GetIndex("by_val")->Lookup(key)))
           << t->name() << " " << key.ToString();
@@ -526,7 +528,7 @@ TEST(TableBatchTest, CreateIndexRacingInsertBatchIndexesEveryRecord) {
           std::vector<Record> batch;
           const int64_t first = (w * kMaxBatches + b) * kBatchSize;
           for (int64_t i = first; i < first + kBatchSize; ++i) {
-            batch.push_back(Rec(i, "v" + std::to_string(i)));
+            batch.push_back(Rec(i, Numbered("v", i)));
           }
           EXPECT_TRUE(t.InsertBatch(std::move(batch)).ok());
           done.fetch_add(1);

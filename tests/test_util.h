@@ -33,6 +33,14 @@ inline std::vector<Row> Sorted(std::vector<Row> rows) {
   return rows;
 }
 
+/// \brief `prefix` followed by the decimal `n` ("v", 7 gives "v7"). Built by
+/// appending: GCC 12 reports a false -Wrestrict for `"v" + std::to_string(n)`
+/// at some inlining sites.
+inline std::string Numbered(std::string prefix, int64_t n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+
 /// \brief Renders a row vector for gtest failure messages.
 inline std::string RowsToString(const std::vector<Row>& rows) {
   std::string out;

@@ -16,6 +16,7 @@
 namespace morph::transform {
 namespace {
 
+using morph::testing::Numbered;
 using morph::testing::RowsToString;
 using morph::testing::Sorted;
 using morph::testing::SortedRows;
@@ -127,7 +128,7 @@ ClientStats RunSplitClient(engine::Database* db, storage::Table* t_src,
         st = db->Update(t, t_src, Row({id}), {{1, Value(zip)}, {2, Value(city)}});
       } else {
         st = db->Update(t, t_src, Row({id}),
-                        {{3, Value("b" + std::to_string(rng.Uniform(5)))}});
+                        {{3, Value(Numbered("b", rng.Uniform(5)))}});
       }
       if (!st.ok()) ok = false;
     }
