@@ -54,7 +54,6 @@ Point Measure(double pct, double peak) {
   config.priority = 1.0;  // populate fast; the CC is what is under test
   config.on_lag = transform::OnLag::kBoostPriority;
   config.lag_iterations = 8;
-  config.run_consistency_checker = true;
   config.cc_batch = 16;
   config.drop_sources = false;
   auto rules = scenario.MakeRules(/*assume_consistent=*/false);

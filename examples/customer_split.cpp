@@ -65,7 +65,6 @@ int main() {
       std::shared_ptr<transform::SplitRules>(std::move(rules).ValueOrDie());
 
   transform::TransformConfig config;
-  config.run_consistency_checker = true;
   config.strategy = transform::SyncStrategy::kNonBlockingAbort;
   transform::TransformCoordinator coordinator(&db, shared_rules, config);
 

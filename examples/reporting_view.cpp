@@ -52,7 +52,6 @@ int main() {
 
   transform::TransformConfig config;
   config.continuous = true;      // materialized view: maintain, don't switch
-  config.maintain_locks = false; // no switch-over to protect
   config.priority = 0.3;
   transform::TransformCoordinator coordinator(&db, shared, config);
   auto stats_f =

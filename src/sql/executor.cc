@@ -420,7 +420,6 @@ transform::TransformConfig Session::ConfigFrom(
   if (options.strategy) config.strategy = *options.strategy;
   config.continuous = options.continuous;
   if (options.keep_sources) config.drop_sources = false;
-  if (options.check_consistency) config.run_consistency_checker = true;
   config.on_lag = transform::OnLag::kBoostPriority;
   return config;
 }

@@ -33,9 +33,11 @@ TransformCoordinator::TransformCoordinator(engine::Database* db,
       tlocks_(config.target_lock_wait_micros) {
   PropagatorConfig pc;
   pc.batch_size = config_.batch_size;
-  pc.maintain_locks = config_.maintain_locks;
-  propagator_ = std::make_unique<LogPropagator>(db_->wal(), rules_.get(),
-                                                &tlocks_, &priority_, pc);
+  // A continuous run never switches over, so nothing consults mirrored
+  // source locks: its propagator mirrors none.
+  propagator_ = std::make_unique<LogPropagator>(
+      db_->wal(), rules_.get(), config_.continuous ? nullptr : &tlocks_,
+      &priority_, pc);
 
   // Tablet resolution. Everything it depends on is known here (sources
   // exist before Prepare; targets are created with the same DatabaseOptions
@@ -46,7 +48,7 @@ TransformCoordinator::TransformCoordinator(engine::Database* db,
   const auto sources = rules_->Sources();
   bool staggered = config_.tablets > 1 && rules_->SupportsStaggeredTablets() &&
                    config_.strategy == SyncStrategy::kNonBlockingAbort &&
-                   !config_.continuous && !config_.run_consistency_checker;
+                   !config_.continuous;
   for (const auto& src : sources) {
     staggered = staggered && !rules_->KeepSource(src->id()) &&
                 src->num_shards() == sources[0]->num_shards() &&
@@ -330,7 +332,6 @@ Status TransformCoordinator::PopulateTablets(const Clock::TimePoint& run_start,
       populate_config.shard_begin = stagger_->ShardBegin(k);
       populate_config.shard_end = stagger_->ShardEnd(k);
     }
-    populate_config.accumulate = k > 0;
     rules_->set_populate_config(populate_config);
     const auto t0 = Clock::Now();
     const Status populated = rules_->InitialPopulate();
@@ -412,12 +413,10 @@ Status TransformCoordinator::PropagateUntilSync(
     stats->iterations++;
     MORPH_COUNTER_INC("transform.propagate.iterations");
 
-    if (config_.run_consistency_checker) {
-      auto cc = rules_->RunConsistencyCheck(config_.cc_batch);
-      if (!cc.ok()) {
-        return Status::Aborted("consistency check failed: " +
-                               cc.status().ToString());
-      }
+    auto cc = rules_->RunConsistencyCheck(config_.cc_batch);
+    if (!cc.ok()) {
+      return Status::Aborted("consistency check failed: " +
+                             cc.status().ToString());
     }
 
     const Lsn tail = db_->wal()->LastLsn();
@@ -454,9 +453,6 @@ Status TransformCoordinator::PropagateUntilSync(
       } else {
         return Status::Aborted("propagator cannot keep up with log generation");
       }
-    }
-    if (!config_.continuous && stats->iterations >= config_.max_iterations) {
-      return Status::Aborted("max propagation iterations reached");
     }
     if (backlog == 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(500));

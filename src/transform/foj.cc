@@ -35,7 +35,7 @@ FojRules::FojRules(engine::Database* db, FojSpec spec,
                    std::shared_ptr<storage::Table> r,
                    std::shared_ptr<storage::Table> s, size_t r_join_idx,
                    size_t s_join_idx)
-    : db_(db), spec_(std::move(spec)) {
+    : OperatorRules(db), spec_(std::move(spec)) {
   const size_t r_width = r->schema().num_columns();
   const size_t s_width = s->schema().num_columns();
   sides_[0] = {std::move(r), "r", spec_.r_prefix,
@@ -63,8 +63,8 @@ Status FojRules::Prepare() {
   }
   MORPH_ASSIGN_OR_RETURN(Schema t_schema,
                          Schema::Make(std::move(columns), std::move(key_names)));
-  MORPH_ASSIGN_OR_RETURN(t_, db_->CreateTable(spec_.target_table,
-                                              std::move(t_schema)));
+  MORPH_ASSIGN_OR_RETURN(t_,
+                         CreateTarget(spec_.target_table, std::move(t_schema)));
 
   // The four lookup paths of §4.1: identify T-records by either source key,
   // and by the join value on either side (created in that order).
@@ -123,20 +123,18 @@ Status FojRules::InitialPopulate() {
       throttle_controller(), config, [&](PopulateWorker& w) -> Status {
         BatchSink sink(t_.get(), BatchSink::Mode::kInsert, &w);
         std::vector<std::vector<Row>>& mine = buckets[w.index()];
-        for (size_t sh = w.index(); sh < s.table->num_shards();
-             sh += w.partitions()) {
-          for (storage::Record& rec : w.Snapshot(*s.table, sh)) {
-            const Value& jv = rec.row[s.join_idx];
-            if (jv.is_null()) {
+        MORPH_RETURN_NOT_OK(
+            w.ScanShards(*s.table, [&](storage::Record& rec) -> Status {
+              const Value& jv = rec.row[s.join_idx];
+              if (!jv.is_null()) {
+                mine[jv.Hash() % parts].push_back(std::move(rec.row));
+                return Status::OK();
+              }
               storage::Record out;
               out.row = MakeT(Row::Nulls(r.width), rec.row);
               out.lsn = kInvalidLsn;
-              MORPH_RETURN_NOT_OK(sink.Add(std::move(out)));
-              continue;
-            }
-            mine[jv.Hash() % parts].push_back(std::move(rec.row));
-          }
-        }
+              return sink.Add(std::move(out));
+            }));
         return sink.Flush();
       }));
 
@@ -173,36 +171,33 @@ Status FojRules::InitialPopulate() {
       throttle_controller(), config, [&](PopulateWorker& w) -> Status {
         BatchSink sink(t_.get(), BatchSink::Mode::kInsert, &w);
         const Row s_nulls = Row::Nulls(s.width);
-        for (size_t sh = w.index(); sh < r.table->num_shards();
-             sh += w.partitions()) {
-          for (const storage::Record& rec : w.Snapshot(*r.table, sh)) {
-            const Row& r_row = rec.row;
-            const Value& jv = r_row[r.join_idx];
-            bool matched_any = false;
-            if (!jv.is_null()) {
-              const size_t h = jv.Hash();
-              SPartition& part = partitions[h % parts];
-              auto it = part.by_join.find(h);
-              if (it != part.by_join.end()) {
-                for (size_t i : it->second) {
-                  if (!(part.rows[i][s.join_idx] == jv)) continue;
-                  matched_any = true;
-                  part.matched[i].store(true, std::memory_order_relaxed);
-                  storage::Record out;
-                  out.row = MakeT(r_row, part.rows[i]);
-                  out.lsn = kInvalidLsn;
-                  MORPH_RETURN_NOT_OK(sink.Add(std::move(out)));
+        MORPH_RETURN_NOT_OK(
+            w.ScanShards(*r.table, [&](const storage::Record& rec) -> Status {
+              const Row& r_row = rec.row;
+              const Value& jv = r_row[r.join_idx];
+              bool matched_any = false;
+              if (!jv.is_null()) {
+                const size_t h = jv.Hash();
+                SPartition& part = partitions[h % parts];
+                auto it = part.by_join.find(h);
+                if (it != part.by_join.end()) {
+                  for (size_t i : it->second) {
+                    if (!(part.rows[i][s.join_idx] == jv)) continue;
+                    matched_any = true;
+                    part.matched[i].store(true, std::memory_order_relaxed);
+                    storage::Record out;
+                    out.row = MakeT(r_row, part.rows[i]);
+                    out.lsn = kInvalidLsn;
+                    MORPH_RETURN_NOT_OK(sink.Add(std::move(out)));
+                  }
                 }
               }
-            }
-            if (!matched_any) {
+              if (matched_any) return Status::OK();
               storage::Record out;
               out.row = MakeT(r_row, s_nulls);
               out.lsn = kInvalidLsn;
-              MORPH_RETURN_NOT_OK(sink.Add(std::move(out)));
-            }
-          }
-        }
+              return sink.Add(std::move(out));
+            }));
         return sink.Flush();
       }));
 
@@ -481,12 +476,6 @@ std::vector<txn::RecordId> FojRules::AffectedTargets(TableId table,
     break;
   }
   return out;
-}
-
-Status FojRules::DropTargets() {
-  const Status st = db_->DropTable(spec_.target_table);
-  if (st.IsNotFound()) return Status::OK();
-  return st;
 }
 
 }  // namespace morph::transform

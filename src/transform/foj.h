@@ -51,22 +51,14 @@ class FojRules : public OperatorRules {
   static Result<std::unique_ptr<FojRules>> Make(engine::Database* db,
                                                 FojSpec spec);
 
-  bool IsSource(TableId id) const override {
-    return id == sides_[0].table->id() || id == sides_[1].table->id();
-  }
-
   Status Prepare() override;
   Status InitialPopulate() override;
   Status Apply(const Op& op, std::vector<txn::RecordId>* affected) override;
   std::vector<txn::RecordId> AffectedTargets(TableId table,
                                              const Row& pk) override;
-  std::vector<std::shared_ptr<storage::Table>> Targets() const override {
-    return {t_};
-  }
   std::vector<std::shared_ptr<storage::Table>> Sources() const override {
     return {sides_[0].table, sides_[1].table};
   }
-  Status DropTargets() override;
 
   const std::shared_ptr<storage::Table>& target() const { return t_; }
   const FojSpec& spec() const { return spec_; }
@@ -180,7 +172,6 @@ class FojRules : public OperatorRules {
   /// Applies the op's column updates to a source-row image (R or S side).
   static Row ApplyUpdates(const Row& row, const Op& op);
 
-  engine::Database* db_;
   FojSpec spec_;
   std::shared_ptr<storage::Table> t_;
   Side sides_[2];  ///< R, then S (T's column order)

@@ -19,8 +19,8 @@ Result<std::unique_ptr<HorizontalSplitRules>> HorizontalSplitRules::Make(
 }
 
 Status HorizontalSplitRules::Prepare() {
-  MORPH_ASSIGN_OR_RETURN(r_, db_->CreateTable(spec_.r_name, t_src_->schema()));
-  MORPH_ASSIGN_OR_RETURN(s_, db_->CreateTable(spec_.s_name, t_src_->schema()));
+  MORPH_ASSIGN_OR_RETURN(r_, CreateTarget(spec_.r_name, t_src_->schema()));
+  MORPH_ASSIGN_OR_RETURN(s_, CreateTarget(spec_.s_name, t_src_->schema()));
   return Status::OK();
 }
 
@@ -38,19 +38,14 @@ Status HorizontalSplitRules::InitialPopulate() {
       [&](PopulateWorker& w) -> Status {
         BatchSink r_sink(r_.get(), BatchSink::Mode::kInsert, &w);
         BatchSink s_sink(s_.get(), BatchSink::Mode::kInsert, &w);
-        const PopulateConfig& config = populate_config();
-        const size_t hi = config.ClampedShardEnd(t_src_->num_shards());
-        for (size_t sh = config.shard_begin + w.index(); sh < hi;
-             sh += w.partitions()) {
-          for (storage::Record& rec : w.Snapshot(*t_src_, sh)) {
-            storage::Record copy;
-            copy.row = std::move(rec.row);
-            copy.lsn = rec.lsn;
-            BatchSink& sink =
-                Route(copy.row) == r_.get() ? r_sink : s_sink;
-            MORPH_RETURN_NOT_OK(sink.Add(std::move(copy)));
-          }
-        }
+        MORPH_RETURN_NOT_OK(
+            w.ScanShards(*t_src_, [&](storage::Record& rec) -> Status {
+              storage::Record copy;
+              copy.row = std::move(rec.row);
+              copy.lsn = rec.lsn;
+              BatchSink& sink = Route(copy.row) == r_.get() ? r_sink : s_sink;
+              return sink.Add(std::move(copy));
+            }));
         MORPH_RETURN_NOT_OK(r_sink.Flush());
         return s_sink.Flush();
       });
@@ -77,8 +72,8 @@ Status HorizontalSplitRules::Apply(const Op& op,
     if (affected != nullptr) affected->push_back({side->id(), op.key});
   };
 
-  /// Removes stale copies (LSN below the op) from `except`'s sibling — and
-  /// from `except` itself when `also_holder` is set.
+  /// Removes stale copies (LSN below the op) from every side but `keep`
+  /// (from both sides when `keep` is null).
   auto clean = [&](storage::Table* keep) -> Status {
     for (storage::Table* side : {r_.get(), s_.get()}) {
       if (side == keep) continue;
@@ -92,6 +87,17 @@ Status HorizontalSplitRules::Apply(const Op& op,
     return Status::OK();
   };
 
+  /// Stores `row` on `dest` unless its copy is at least as new as the op:
+  /// insert, or replace an older copy, in one step under the shard mutex.
+  auto put = [&](storage::Table* dest, Row row) -> Status {
+    return dest->Rmw(op.key, [&](storage::Record* cur, bool exists) {
+      if (exists && cur->lsn >= op.lsn) return storage::Table::RmwAction::kKeep;
+      cur->row = std::move(row);
+      cur->lsn = op.lsn;
+      return storage::Table::RmwAction::kPut;
+    });
+  };
+
   switch (op.type) {
     case OpType::kInsert: {
       storage::Table* dest = Route(op.after);
@@ -101,20 +107,8 @@ Status HorizontalSplitRules::Apply(const Op& op,
         return Status::OK();
       }
       MORPH_RETURN_NOT_OK(clean(dest));
-      storage::Record rec;
-      rec.row = op.after;
-      rec.lsn = op.lsn;
-      Status st = dest->Insert(std::move(rec));
-      if (st.IsAlreadyExists()) {
-        st = dest->Mutate(op.key, [&](storage::Record* cur) {
-          if (cur->lsn >= op.lsn) return false;
-          cur->row = op.after;
-          cur->lsn = op.lsn;
-          return true;
-        });
-      }
       counters_.ops_applied++;
-      return st;
+      return put(dest, op.after);
     }
     case OpType::kDelete: {
       if (holder == nullptr || current.lsn >= op.lsn) {
@@ -150,19 +144,7 @@ Status HorizontalSplitRules::Apply(const Op& op,
       note(holder);
       note(dest);
       MORPH_RETURN_NOT_OK(clean(dest));
-      storage::Record rec;
-      rec.row = new_row;
-      rec.lsn = op.lsn;
-      Status st = dest->Insert(std::move(rec));
-      if (st.IsAlreadyExists()) {
-        st = dest->Mutate(op.key, [&](storage::Record* cur) {
-          if (cur->lsn >= op.lsn) return false;
-          cur->row = new_row;
-          cur->lsn = op.lsn;
-          return true;
-        });
-      }
-      return st;
+      return put(dest, std::move(new_row));
     }
   }
   return Status::Internal("unreachable");
@@ -174,14 +156,6 @@ std::vector<txn::RecordId> HorizontalSplitRules::AffectedTargets(
   // The record may live on (or move to) either side; mirror the lock onto
   // both so post-switch transactions cannot slip between them.
   return {txn::RecordId{r_->id(), pk}, txn::RecordId{s_->id(), pk}};
-}
-
-Status HorizontalSplitRules::DropTargets() {
-  Status st = db_->DropTable(spec_.r_name);
-  if (!st.ok() && !st.IsNotFound()) return st;
-  st = db_->DropTable(spec_.s_name);
-  if (!st.ok() && !st.IsNotFound()) return st;
-  return Status::OK();
 }
 
 }  // namespace morph::transform

@@ -69,20 +69,15 @@ class HorizontalSplitRules : public OperatorRules {
   static Result<std::unique_ptr<HorizontalSplitRules>> Make(
       engine::Database* db, HorizontalSplitSpec spec);
 
-  bool IsSource(TableId id) const override { return id == t_src_->id(); }
   Status Prepare() override;
   Status InitialPopulate() override;
   Status Apply(const Op& op, std::vector<txn::RecordId>* affected) override;
 
   std::vector<txn::RecordId> AffectedTargets(TableId table,
                                              const Row& pk) override;
-  std::vector<std::shared_ptr<storage::Table>> Targets() const override {
-    return {r_, s_};
-  }
   std::vector<std::shared_ptr<storage::Table>> Sources() const override {
     return {t_src_};
   }
-  Status DropTargets() override;
 
   /// Targets are verbatim T-keyed copies: every rule (including a
   /// predicate-flipping migration's delete + insert pair) touches only
@@ -107,17 +102,13 @@ class HorizontalSplitRules : public OperatorRules {
  private:
   HorizontalSplitRules(engine::Database* db, HorizontalSplitSpec spec,
                        std::shared_ptr<storage::Table> t, size_t pred_col)
-      : db_(db), spec_(std::move(spec)), t_src_(std::move(t)),
+      : OperatorRules(db), spec_(std::move(spec)), t_src_(std::move(t)),
         pred_col_(pred_col) {}
 
   storage::Table* Route(const Row& row) const {
     return spec_.predicate.Eval(row[pred_col_]) ? r_.get() : s_.get();
   }
-  storage::Table* Other(storage::Table* side) const {
-    return side == r_.get() ? s_.get() : r_.get();
-  }
 
-  engine::Database* db_;
   HorizontalSplitSpec spec_;
   std::shared_ptr<storage::Table> t_src_;
   std::shared_ptr<storage::Table> r_;

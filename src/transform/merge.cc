@@ -39,8 +39,7 @@ Result<std::unique_ptr<MergeRules>> MergeRules::Make(engine::Database* db,
 }
 
 Status MergeRules::Prepare() {
-  MORPH_ASSIGN_OR_RETURN(t_,
-                         db_->CreateTable(spec_.target_table, r_->schema()));
+  MORPH_ASSIGN_OR_RETURN(t_, CreateTarget(spec_.target_table, r_->schema()));
   return Status::OK();
 }
 
@@ -56,18 +55,14 @@ Status MergeRules::InitialPopulate() {
       throttle_controller(), populate_config(),
       [&](PopulateWorker& w) -> Status {
         BatchSink sink(t_.get(), BatchSink::Mode::kLsnUpsert, &w);
-        const PopulateConfig& config = populate_config();
         for (const auto& src : {r_, s_}) {
-          const size_t hi = config.ClampedShardEnd(src->num_shards());
-          for (size_t sh = config.shard_begin + w.index(); sh < hi;
-               sh += w.partitions()) {
-            for (storage::Record& rec : w.Snapshot(*src, sh)) {
-              storage::Record copy;
-              copy.row = std::move(rec.row);
-              copy.lsn = rec.lsn;
-              MORPH_RETURN_NOT_OK(sink.Add(std::move(copy)));
-            }
-          }
+          MORPH_RETURN_NOT_OK(
+              w.ScanShards(*src, [&](storage::Record& rec) -> Status {
+                storage::Record copy;
+                copy.row = std::move(rec.row);
+                copy.lsn = rec.lsn;
+                return sink.Add(std::move(copy));
+              }));
         }
         return sink.Flush();
       });
@@ -80,23 +75,18 @@ Status MergeRules::Apply(const Op& op, std::vector<txn::RecordId>* affected) {
   if (affected != nullptr) affected->push_back({t_->id(), op.key});
   switch (op.type) {
     case OpType::kInsert: {
-      storage::Record rec;
-      rec.row = op.after;
-      rec.lsn = op.lsn;
-      Status st = t_->Insert(std::move(rec));
-      if (st.IsAlreadyExists()) {
-        // Either already reflected, or a newer image is present (Theorem-1
-        // via the LSN): only an older copy is overwritten.
-        st = t_->Mutate(op.key, [&](storage::Record* cur) {
-          if (cur->lsn >= op.lsn) return false;
-          cur->row = op.after;
-          cur->lsn = op.lsn;
-          return true;
-        });
-        counters_.ops_ignored++;
-        return st;
-      }
-      counters_.ops_applied++;
+      // Insert, or overwrite an older copy, in one step under the shard
+      // mutex. A present key counts as ignored: it was either already
+      // reflected or a newer image is present (Theorem-1 via the LSN).
+      bool existed = false;
+      const Status st = t_->Rmw(op.key, [&](storage::Record* cur, bool exists) {
+        existed = exists;
+        if (exists && cur->lsn >= op.lsn) return storage::Table::RmwAction::kKeep;
+        cur->row = op.after;
+        cur->lsn = op.lsn;
+        return storage::Table::RmwAction::kPut;
+      });
+      (existed ? counters_.ops_ignored : counters_.ops_applied)++;
       return st;
     }
     case OpType::kDelete: {
@@ -137,12 +127,6 @@ std::vector<txn::RecordId> MergeRules::AffectedTargets(TableId table,
                                                        const Row& pk) {
   if (!IsSource(table)) return {};
   return {txn::RecordId{t_->id(), pk}};
-}
-
-Status MergeRules::DropTargets() {
-  const Status st = db_->DropTable(spec_.target_table);
-  if (st.IsNotFound()) return Status::OK();
-  return st;
 }
 
 }  // namespace morph::transform

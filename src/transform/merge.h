@@ -40,22 +40,15 @@ class MergeRules : public OperatorRules {
   static Result<std::unique_ptr<MergeRules>> Make(engine::Database* db,
                                                   MergeSpec spec);
 
-  bool IsSource(TableId id) const override {
-    return id == r_->id() || id == s_->id();
-  }
   Status Prepare() override;
   Status InitialPopulate() override;
   Status Apply(const Op& op, std::vector<txn::RecordId>* affected) override;
 
   std::vector<txn::RecordId> AffectedTargets(TableId table,
                                              const Row& pk) override;
-  std::vector<std::shared_ptr<storage::Table>> Targets() const override {
-    return {t_};
-  }
   std::vector<std::shared_ptr<storage::Table>> Sources() const override {
     return {r_, s_};
   }
-  Status DropTargets() override;
 
   /// Every rule is an LSN-gated redo against T[k] where k is the op's own
   /// (pk-preserving) key, so the merge decomposes by hash-range tablet.
@@ -77,9 +70,13 @@ class MergeRules : public OperatorRules {
   MergeRules(engine::Database* db, MergeSpec spec,
              std::shared_ptr<storage::Table> r,
              std::shared_ptr<storage::Table> s)
-      : db_(db), spec_(std::move(spec)), r_(std::move(r)), s_(std::move(s)) {}
+      : OperatorRules(db),
+        spec_(std::move(spec)),
+        r_(std::move(r)),
+        s_(std::move(s)) {}
 
-  engine::Database* db_;
+  bool IsSource(TableId id) const { return id == r_->id() || id == s_->id(); }
+
   MergeSpec spec_;
   std::shared_ptr<storage::Table> r_;
   std::shared_ptr<storage::Table> s_;

@@ -39,8 +39,8 @@ struct Op {
   std::vector<Value> before_values;
   std::vector<Value> after_values;
 
-  /// \brief Distills a log record into an Op; nullopt for non-data records
-  /// and for records of tables not in `IsSource`.
+  /// \brief Distills a log record into an Op; nullopt for non-data records.
+  /// The caller filters by source table (OperatorRules::Sources()).
   static std::optional<Op> FromLogRecord(const wal::LogRecord& rec);
 
   /// \brief True if `column` is among updated_columns; when true,

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "engine/database.h"
 #include "storage/table.h"
 #include "transform/op.h"
 #include "transform/populate.h"
@@ -16,8 +18,17 @@ namespace morph::transform {
 /// \brief The operator-specific half of a transformation, plugged into the
 /// generic four-step TransformCoordinator (paper §3).
 ///
-/// Implementations: FojRules (paper §4, one-to-many and many-to-many) and
-/// SplitRules (paper §5, with counters and C/U consistency flags).
+/// Implementations: FojRules (paper §4, one-to-many and many-to-many),
+/// SplitRules (paper §5, with counters and C/U consistency flags),
+/// HorizontalSplitRules (selection split) and MergeRules (union of two
+/// same-schema tables), the last two answering §7's call for more operators.
+///
+/// The base class owns the duties every operator shares, so an operator
+/// keeps only its paper rules. Prepare creates each transformed table
+/// through CreateTarget, which records it; Targets() lists the recorded
+/// tables in creation order, and DropTargets() deletes exactly those (the
+/// §6 abort), never a table the run did not create. The shard scan of a
+/// population worker is PopulateWorker::ScanShards (transform/populate.h).
 ///
 /// Threading contract: Prepare / InitialPopulate are called from the single
 /// coordinator thread; InitialPopulate may internally fan out across
@@ -30,14 +41,11 @@ namespace morph::transform {
 /// mirroring under non-blocking commit), concurrently with Apply; both must
 /// therefore only use thread-safe table/index operations, and any
 /// rule-internal state they touch (counters, CC bookkeeping) must be
-/// synchronized.
+/// synchronized. Targets() and DropTargets() are coordinator-thread calls
+/// (or after the run).
 class OperatorRules {
  public:
   virtual ~OperatorRules() = default;
-
-  /// \brief True if `id` is one of the transformation's source tables
-  /// (whose log records must be propagated).
-  virtual bool IsSource(TableId id) const = 0;
 
   /// \brief Preparation step: create the transformed table(s) and their
   /// indexes (paper §3.1).
@@ -71,8 +79,11 @@ class OperatorRules {
   virtual std::vector<txn::RecordId> AffectedTargets(TableId table,
                                                      const Row& pk) = 0;
 
-  /// \brief The transformed tables, for switch-over bookkeeping.
-  virtual std::vector<std::shared_ptr<storage::Table>> Targets() const = 0;
+  /// \brief The transformed tables CreateTarget made, in creation order,
+  /// for switch-over bookkeeping. Empty before Prepare.
+  const std::vector<std::shared_ptr<storage::Table>>& Targets() const {
+    return targets_;
+  }
 
   /// \brief The source tables, for latching and dropping.
   virtual std::vector<std::shared_ptr<storage::Table>> Sources() const = 0;
@@ -84,8 +95,7 @@ class OperatorRules {
   virtual bool ReadyForSync() const { return true; }
 
   /// \brief One pass of operator-internal background maintenance, invoked
-  /// between propagation iterations when the coordinator is configured with
-  /// run_consistency_checker. The split rules implement the §5.3
+  /// between propagation iterations. The split rules implement the §5.3
   /// consistency checker here; other operators have nothing to do.
   virtual Result<size_t> RunConsistencyCheck(size_t max_records) {
     (void)max_records;
@@ -93,8 +103,17 @@ class OperatorRules {
   }
 
   /// \brief Deletes the transformed tables (transformation abort: "log
-  /// propagation is stopped, and the transformed tables are deleted", §6).
-  virtual Status DropTargets() = 0;
+  /// propagation is stopped, and the transformed tables are deleted", §6):
+  /// each table CreateTarget made that the catalog still holds under its
+  /// name. A name this run did not create is never dropped, so a target
+  /// named like an existing table (whose creation failed) costs nothing.
+  Status DropTargets() {
+    for (const auto& t : targets_) {
+      if (db_->catalog()->GetByName(t->name()) != t) continue;
+      MORPH_RETURN_NOT_OK(db_->DropTable(t->name()));
+    }
+    return Status::OK();
+  }
 
   /// \brief Completion-time finalization, before the coordinator drops the
   /// sources: operators that repurpose a source table (the split's §5.2
@@ -112,10 +131,11 @@ class OperatorRules {
   /// per-tablet sub-transforms (transform/tablet_manager.h). Requires that
   /// every propagation rule is LSN-gated per target record and decomposes by
   /// source primary key (so the key's hash-range tablet fully determines
-  /// which target records an op can touch). Split, hsplit, and merge
-  /// qualify; the FOJ does not — deletes and updates find their victims by
-  /// source key across join values, and an insert's effect depends on
-  /// join-value state across the whole table.
+  /// which target records an op can touch). Split (unless it runs the
+  /// §5.3 consistency checker), hsplit, and merge qualify; the FOJ does
+  /// not — deletes and updates find their victims by source key across
+  /// join values, and an insert's effect depends on join-value state across
+  /// the whole table.
   /// Default: not staggerable (the coordinator clamps to one tablet).
   virtual bool SupportsStaggeredTablets() const { return false; }
 
@@ -144,9 +164,17 @@ class OperatorRules {
   }
 
  protected:
-  /// Pays the duty-cycle cost of `work_nanos` of internal work.
-  void Throttle(int64_t work_nanos) {
-    if (throttle_ != nullptr) throttle_->OnWorkDone(work_nanos);
+  explicit OperatorRules(engine::Database* db) : db_(db) {}
+
+  engine::Database* db() const { return db_; }
+
+  /// Creates transformed table `name` and records it for Targets() and
+  /// DropTargets(). Fails (recording nothing) if the name is taken.
+  Result<std::shared_ptr<storage::Table>> CreateTarget(const std::string& name,
+                                                       Schema schema) {
+    MORPH_ASSIGN_OR_RETURN(auto table, db_->CreateTable(name, std::move(schema)));
+    targets_.push_back(table);
+    return table;
   }
 
   /// The pipeline shape InitialPopulate should run with.
@@ -157,6 +185,8 @@ class OperatorRules {
   PriorityController* throttle_controller() const { return throttle_; }
 
  private:
+  engine::Database* const db_;
+  std::vector<std::shared_ptr<storage::Table>> targets_;
   PriorityController* throttle_ = nullptr;
   PopulateConfig populate_config_;
 };

@@ -45,11 +45,10 @@ void PopulateWorker::RecordStages() const {
 Status RunPopulatePhase(PriorityController* throttle,
                         const PopulateConfig& config,
                         const std::function<Status(PopulateWorker&)>& body) {
-  const size_t batch = config.batch_size > 0 ? config.batch_size : 256;
   if (config.workers == 0) {
     // Serial = the N = 0 case: same body, inline, one partition. Exceptions
     // propagate naturally (we are already on the caller's thread).
-    PopulateWorker worker(0, 1, batch, throttle);
+    PopulateWorker worker(0, 1, config, throttle);
     const Status st = body(worker);
     if (st.ok()) worker.PayThrottle();
     worker.RecordStages();
@@ -67,7 +66,7 @@ Status RunPopulatePhase(PriorityController* throttle,
   threads.reserve(config.workers);
   for (size_t i = 0; i < config.workers; ++i) {
     threads.emplace_back([&, i] {
-      PopulateWorker worker(i, config.workers, batch, throttle);
+      PopulateWorker worker(i, config.workers, config, throttle);
       Status st;
       try {
         st = body(worker);

@@ -29,8 +29,8 @@ Status LogPropagator::ApplyOp(const Op& op, txn::LockOrigin origin) {
   MORPH_FAILPOINT("transform.propagate.apply");
   std::vector<txn::RecordId> affected;
   MORPH_RETURN_NOT_OK(
-      rules_->Apply(op, config_.maintain_locks ? &affected : nullptr));
-  if (config_.maintain_locks && op.txn_id != kInvalidTxnId) {
+      rules_->Apply(op, tlocks_ != nullptr ? &affected : nullptr));
+  if (tlocks_ != nullptr && op.txn_id != kInvalidTxnId) {
     // §3.3: locks are maintained on the transformed-table records for the
     // whole transformation; conflicts among transferred locks are
     // impossible by Figure 2, so this never blocks.
@@ -66,7 +66,7 @@ Status LogPropagator::ProcessRecord(const wal::LogRecord& rec) {
       // "Source table locks held in the transformed tables are released as
       // soon as the propagator has processed the [completion] log record of
       // the lock owner transaction" (§3.4).
-      tlocks_->ReleaseTxn(rec.txn_id);
+      if (tlocks_ != nullptr) tlocks_->ReleaseTxn(rec.txn_id);
       return Status::OK();
     case wal::LogRecordType::kCcBegin:
     case wal::LogRecordType::kCcOk:

@@ -20,8 +20,6 @@ struct PropagatorConfig {
   /// Log records scanned per batch; the priority throttle runs between
   /// batches.
   size_t batch_size = 512;
-  /// Mirror source-table locks onto the transformed tables (§3.3).
-  bool maintain_locks = true;
 };
 
 /// \brief The log propagator (paper §3.3), factored out of
@@ -53,6 +51,8 @@ struct PropagatorConfig {
 /// (the coordinator thread). ops_applied() is safe from any thread.
 class LogPropagator {
  public:
+  /// `tlocks` may be null: the run then mirrors no source locks (a
+  /// continuous run, which never switches over).
   LogPropagator(wal::Wal* wal, OperatorRules* rules,
                 txn::TransformLockTable* tlocks, PriorityController* priority,
                 PropagatorConfig config);

@@ -20,7 +20,7 @@ Result<std::unique_ptr<SplitRules>> SplitRules::Make(engine::Database* db,
 
 SplitRules::SplitRules(engine::Database* db, SplitSpec spec,
                        std::shared_ptr<storage::Table> t)
-    : db_(db), spec_(std::move(spec)), t_src_(std::move(t)) {}
+    : OperatorRules(db), spec_(std::move(spec)), t_src_(std::move(t)) {}
 
 Status SplitRules::ResolveColumns() {
   const Schema& ts = t_src_->schema();
@@ -93,13 +93,13 @@ Status SplitRules::Prepare() {
   // name; spec_.r_name is reserved for the renamed T.
   const std::string r_table_name =
       spec_.reuse_source_as_r ? spec_.r_name + "__p" : spec_.r_name;
-  MORPH_ASSIGN_OR_RETURN(r_, db_->CreateTable(r_table_name, std::move(r_schema)));
+  MORPH_ASSIGN_OR_RETURN(r_, CreateTarget(r_table_name, std::move(r_schema)));
 
   std::vector<Column> s_columns;
   for (size_t c : s_cols_) s_columns.push_back(ts.column(c));
   MORPH_ASSIGN_OR_RETURN(
       Schema s_schema, Schema::Make(std::move(s_columns), spec_.split_columns));
-  MORPH_ASSIGN_OR_RETURN(s_, db_->CreateTable(spec_.s_name, std::move(s_schema)));
+  MORPH_ASSIGN_OR_RETURN(s_, CreateTarget(spec_.s_name, std::move(s_schema)));
   return Status::OK();
 }
 
@@ -132,6 +132,10 @@ Status SplitRules::InitialPopulate() {
   const size_t source_rows = t_src_->size();
   r_->Reserve(source_rows);
   s_->Reserve(source_rows);
+  // A staggered run's later tablets find buckets from earlier tablets'
+  // scans (and their propagation) already in S and merge into them; a
+  // first scan writes S in batches. Nothing else writes S while this runs.
+  const bool s_empty = s_->size() == 0;
   // accums[scanner][partition]: scanner-local S-side partials, bucketed by
   // split-key hash. No SAccum map is ever shared between threads — scanners
   // write only their own row, owners merge only their own column.
@@ -143,30 +147,28 @@ Status SplitRules::InitialPopulate() {
       throttle_controller(), config, [&](PopulateWorker& w) -> Status {
         BatchSink r_sink(r_.get(), BatchSink::Mode::kInsert, &w);
         std::vector<AccumMap>& mine = accums[w.index()];
-        const size_t hi = config.ClampedShardEnd(t_src_->num_shards());
-        for (size_t sh = config.shard_begin + w.index(); sh < hi;
-             sh += w.partitions()) {
-          for (const storage::Record& rec : w.Snapshot(*t_src_, sh)) {
-            storage::Record r_rec;
-            r_rec.row = rec.row.Project(r_cols_);
-            r_rec.lsn = rec.lsn;
-            MORPH_RETURN_NOT_OK(r_sink.Add(std::move(r_rec)));
-            Row s_row = rec.row.Project(s_cols_);
-            Row s_key = SplitKeyOfS(s_row);
-            SAccum& acc = mine[s_key.Hash() % parts][std::move(s_key)];
-            acc.counter++;
-            if (acc.counter == 1) {
-              acc.image = std::move(s_row);
-              acc.lsn = rec.lsn;
-            } else {
-              if (acc.image != s_row) acc.consistent = false;
-              if (rec.lsn > acc.lsn) {
-                acc.lsn = rec.lsn;
+        MORPH_RETURN_NOT_OK(
+            w.ScanShards(*t_src_, [&](const storage::Record& rec) -> Status {
+              storage::Record r_rec;
+              r_rec.row = rec.row.Project(r_cols_);
+              r_rec.lsn = rec.lsn;
+              MORPH_RETURN_NOT_OK(r_sink.Add(std::move(r_rec)));
+              Row s_row = rec.row.Project(s_cols_);
+              Row s_key = SplitKeyOfS(s_row);
+              SAccum& acc = mine[s_key.Hash() % parts][std::move(s_key)];
+              acc.counter++;
+              if (acc.counter == 1) {
                 acc.image = std::move(s_row);
+                acc.lsn = rec.lsn;
+              } else {
+                if (acc.image != s_row) acc.consistent = false;
+                if (rec.lsn > acc.lsn) {
+                  acc.lsn = rec.lsn;
+                  acc.image = std::move(s_row);
+                }
               }
-            }
-          }
-        }
+              return Status::OK();
+            }));
         return r_sink.Flush();
       }));
 
@@ -192,7 +194,7 @@ Status SplitRules::InitialPopulate() {
             }
           }
         }
-        if (config.accumulate) {
+        if (!s_empty) {
           // Staggered mode: earlier tablets' scans already stored partial
           // buckets, so this tablet's partials fold *into* them under the
           // shard mutex with the same merge rule as the cross-scanner merge
@@ -536,7 +538,7 @@ Result<size_t> SplitRules::RunConsistencyCheck(size_t max_records) {
     begin.type = wal::LogRecordType::kCcBegin;
     begin.table_id = t_src_->id();
     begin.key = s_key;
-    db_->wal()->Append(std::move(begin));
+    db()->wal()->Append(std::move(begin));
 
     // Read every contributing T-record without locks and compare images.
     std::optional<Row> image;
@@ -561,7 +563,7 @@ Result<size_t> SplitRules::RunConsistencyCheck(size_t max_records) {
     ok.table_id = t_src_->id();
     ok.key = s_key;
     ok.after = *image;
-    db_->wal()->Append(std::move(ok));
+    db()->wal()->Append(std::move(ok));
     written++;
   }
   return written;
@@ -588,21 +590,13 @@ std::vector<txn::RecordId> SplitRules::AffectedTargets(TableId table,
   return out;
 }
 
-Status SplitRules::DropTargets() {
-  Status st = db_->DropTable(r_ != nullptr ? r_->name() : spec_.r_name);
-  if (!st.ok() && !st.IsNotFound()) return st;
-  st = db_->DropTable(spec_.s_name);
-  if (!st.ok() && !st.IsNotFound()) return st;
-  return Status::OK();
-}
-
 Status SplitRules::FinalizeTargets() {
   if (!spec_.reuse_source_as_r) return Status::OK();
   // §5.2 alternative strategy: drop the bookkeeping table and rename T into
   // R. The S-only attributes remain physically present; their removal is a
   // table-description change (§2.4), outside the transformation itself.
-  MORPH_RETURN_NOT_OK(db_->DropTable(r_->name()));
-  return db_->catalog()->RenameTable(spec_.t_table, spec_.r_name);
+  MORPH_RETURN_NOT_OK(db()->DropTable(r_->name()));
+  return db()->catalog()->RenameTable(spec_.t_table, spec_.r_name);
 }
 
 bool SplitRules::KeepSource(TableId id) const {

@@ -65,8 +65,6 @@ class SplitRules : public OperatorRules {
   static Result<std::unique_ptr<SplitRules>> Make(engine::Database* db,
                                                   SplitSpec spec);
 
-  bool IsSource(TableId id) const override { return id == t_src_->id(); }
-
   Status Prepare() override;
   Status InitialPopulate() override;
   Status Apply(const Op& op, std::vector<txn::RecordId>* affected) override;
@@ -74,24 +72,23 @@ class SplitRules : public OperatorRules {
   Status OnControlRecord(const wal::LogRecord& rec) override;
   std::vector<txn::RecordId> AffectedTargets(TableId table,
                                              const Row& pk) override;
-  std::vector<std::shared_ptr<storage::Table>> Targets() const override {
-    return {r_, s_};
-  }
   std::vector<std::shared_ptr<storage::Table>> Sources() const override {
     return {t_src_};
   }
   bool ReadyForSync() const override;
-  Status DropTargets() override;
   Status FinalizeTargets() override;
   bool KeepSource(TableId id) const override;
 
   /// All rules are LSN-gated and read and write only the R (or P) record
   /// keyed by the op's own T-key, plus the S bucket(s) named by that
   /// record's split value, so the split decomposes by source hash-range
-  /// tablet. The S side additionally needs the accumulate populate mode: a
-  /// bucket may receive contributions from several tablets' scans (handled
-  /// in InitialPopulate).
-  bool SupportsStaggeredTablets() const override { return true; }
+  /// tablet. A bucket may receive contributions from several tablets'
+  /// scans; InitialPopulate merges into the buckets S already holds. The
+  /// §5.3 consistency checker verifies a bucket against a whole-table scan
+  /// of T, so a split with assume_consistent = false runs as one tablet.
+  bool SupportsStaggeredTablets() const override {
+    return spec_.assume_consistent;
+  }
 
   /// R is pk-preserving (tablet-aligned); S buckets aggregate keys from all
   /// tablets, so a migrated-tablet writer cannot cover its S effects with
@@ -156,7 +153,6 @@ class SplitRules : public OperatorRules {
   /// Marks a split value dirty for any open CC bracket.
   void TouchSplitValue(const Row& s_key);
 
-  engine::Database* db_;
   SplitSpec spec_;
   std::shared_ptr<storage::Table> t_src_;
   std::shared_ptr<storage::Table> r_;

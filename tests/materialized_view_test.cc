@@ -45,7 +45,6 @@ TEST(MaterializedViewTest, JoinViewConvergesAndSurvivesFinish) {
 
   TransformConfig config;
   config.continuous = true;
-  config.maintain_locks = false;  // a view has no switch-over to protect
   TransformCoordinator coord(&db, shared, config);
   auto stats_f = std::async(std::launch::async, [&] { return coord.Run(); });
   // On a single-core host the coordinator thread may not be scheduled for a
@@ -139,7 +138,6 @@ TEST(MaterializedViewTest, SplitViewMaintainsCounters) {
 
   TransformConfig config;
   config.continuous = true;
-  config.maintain_locks = false;
   TransformCoordinator coord(&db, shared, config);
   auto stats_f = std::async(std::launch::async, [&] { return coord.Run(); });
   while (coord.phase() < TransformCoordinator::Phase::kPropagating) {

@@ -417,6 +417,77 @@ TEST(TransformAbortTest, RequestAbortDropsTargetsKeepsSources) {
   EXPECT_TRUE(db.Commit(t).ok());
 }
 
+// An abort drops only the tables the run created (§6). A target named like
+// an existing table fails to be created, and the abort that follows must
+// leave that table, and every source, in the catalog with its rows.
+void ExpectIntact(engine::Database& db,
+                  const std::shared_ptr<storage::Table>& table,
+                  const std::vector<Row>& rows) {
+  EXPECT_EQ(db.catalog()->GetByName(table->name()).get(), table.get())
+      << table->name();
+  EXPECT_EQ(SortedRows(*table), rows) << table->name();
+}
+
+TEST(TransformAbortTest, FojTargetNamedLikeItsSourceKeepsTheSource) {
+  engine::Database db;
+  FojFixture fx(&db);
+  const std::vector<Row> r_rows = SortedRows(*fx.r);
+  const std::vector<Row> s_rows = SortedRows(*fx.s);
+  FojSpec spec;
+  spec.r_table = "r";
+  spec.s_table = "s";
+  spec.r_join_column = "jv";
+  spec.s_join_column = "jv";
+  spec.target_table = "r";
+  auto rules = FojRules::Make(&db, spec);
+  ASSERT_TRUE(rules.ok());
+  TransformCoordinator coord(
+      &db, std::shared_ptr<FojRules>(std::move(rules).ValueOrDie()),
+      TransformConfig{});
+  auto stats = coord.Run();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_FALSE(stats->completed);
+  EXPECT_NE(stats->abort_reason.find("prepare failed"), std::string::npos)
+      << stats->abort_reason;
+  ExpectIntact(db, fx.r, r_rows);
+  ExpectIntact(db, fx.s, s_rows);
+}
+
+TEST(TransformAbortTest, SplitTargetNamedLikeAnExistingTableKeepsIt) {
+  engine::Database db;
+  auto t_src = *db.CreateTable("t", morph::testing::TSplitSchema());
+  auto users = *db.CreateTable("users", morph::testing::RSchema());
+  ASSERT_TRUE(db.BulkLoad(t_src.get(), {Row({1, 7050, "Trondheim", "p1"}),
+                                        Row({2, 5020, "Bergen", "p2"})})
+                  .ok());
+  ASSERT_TRUE(db.BulkLoad(users.get(), {Row({1, 10, "ann"}),
+                                        Row({2, 20, "bob"})})
+                  .ok());
+  const std::vector<Row> t_rows = SortedRows(*t_src);
+  const std::vector<Row> user_rows = SortedRows(*users);
+
+  SplitSpec spec;
+  spec.t_table = "t";
+  spec.r_columns = {"id", "zip", "body"};
+  spec.s_columns = {"zip", "city"};
+  spec.split_columns = {"zip"};
+  spec.s_name = "users";
+  auto rules = SplitRules::Make(&db, spec);
+  ASSERT_TRUE(rules.ok());
+  TransformCoordinator coord(
+      &db, std::shared_ptr<SplitRules>(std::move(rules).ValueOrDie()),
+      TransformConfig{});
+  auto stats = coord.Run();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_FALSE(stats->completed);
+  EXPECT_NE(stats->abort_reason.find("prepare failed"), std::string::npos)
+      << stats->abort_reason;
+  ExpectIntact(db, t_src, t_rows);
+  ExpectIntact(db, users, user_rows);
+  // The R table the run did create is gone.
+  EXPECT_EQ(db.catalog()->GetByName(spec.r_name), nullptr);
+}
+
 TEST(TransformAbortTest, LaggingPropagatorAborts) {
   engine::Database db;
   FojFixture fx(&db);
@@ -735,7 +806,6 @@ TEST(SplitConsistencyIntegrationTest, RepairUnblocksSynchronization) {
   auto shared_rules = std::shared_ptr<SplitRules>(std::move(rules).ValueOrDie());
 
   TransformConfig config;
-  config.run_consistency_checker = true;
   config.drop_sources = false;
   config.sync_threshold = 64;
   TransformCoordinator coord(&db, shared_rules, config);
