@@ -72,8 +72,8 @@ void RunPopulateWorkerSweep(bool quick, const char* json_path) {
   const int64_t foj_s_rows = quick ? 12'000 : 40'000;
   const int reps = quick ? 1 : 3;
   const std::vector<size_t> worker_counts =
-      quick ? std::vector<size_t>{0, 2, 4}
-            : std::vector<size_t>{0, 1, 2, 4, 8};
+      quick ? std::vector<size_t>{1, 2, 4}
+            : std::vector<size_t>{1, 2, 4, 8};
   const unsigned cores = std::thread::hardware_concurrency();
 
   const std::vector<PopulateCase> cases = {
@@ -135,7 +135,7 @@ void RunPopulateWorkerSweep(bool quick, const char* json_path) {
       const double records = static_cast<double>(c.source_rows) * reps;
       Point p{c.op, c.source_rows, workers, MedianOf(rates), 0,
               {sum.scan / records, sum.op / records, sum.insert / records}};
-      if (workers == 0) serial = p.records_per_sec;
+      if (workers == 1) serial = p.records_per_sec;
       p.speedup = serial > 0 ? p.records_per_sec / serial : 0.0;
       points.push_back(p);
       std::printf("%-9s %-8zu %16.0f %10.2f %9.0f %9.0f %9.0f\n", p.op,

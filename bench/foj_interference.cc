@@ -40,6 +40,11 @@ Point MeasureFojPopulation(double pct, double peak) {
   config.priority = 0.04;
   config.drop_sources = false;
   auto rules = scenario.MakeRules();
+  // One worker, as in MeasurePopulationInterference: the during-window
+  // must fit inside a single reorganizer's throttled population.
+  transform::PopulateConfig populate;
+  populate.workers = 1;
+  rules->set_populate_config(populate);
   transform::TransformCoordinator coord(scenario.db.get(), rules, config);
   janitor.SetCoordinator(&coord);
   coord.SetSyncHold(true);

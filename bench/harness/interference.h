@@ -69,6 +69,12 @@ inline InterferencePoint MeasurePopulationInterference(
   config.priority = populate_priority;
   config.drop_sources = false;
   auto rules = scenario.MakeRules();
+  // One population worker, the paper's single reorganizer: the duty is per
+  // worker, so the default width would double the population's CPU share,
+  // and halve the phase until the during-window no longer fits inside it.
+  transform::PopulateConfig populate;
+  populate.workers = 1;
+  rules->set_populate_config(populate);
   transform::TransformCoordinator coord(scenario.db.get(), rules, config);
   janitor.SetCoordinator(&coord);
   coord.SetSyncHold(true);

@@ -326,8 +326,7 @@ Status TransformCoordinator::PopulateTablets(const Clock::TimePoint& run_start,
     }
     MORPH_FAILPOINT("transform.fuzzy.begin");
     phase_.store(Phase::kPopulating, std::memory_order_release);
-    PopulateConfig populate_config;
-    populate_config.workers = config_.populate_workers;
+    PopulateConfig populate_config = rules_->populate_config();
     if (T > 1) {
       populate_config.shard_begin = stagger_->ShardBegin(k);
       populate_config.shard_end = stagger_->ShardEnd(k);
@@ -413,6 +412,11 @@ Status TransformCoordinator::PropagateUntilSync(
     stats->iterations++;
     MORPH_COUNTER_INC("transform.propagate.iterations");
 
+    // The check appends its own CC brackets. An iteration that found the
+    // log drained before the check is idle even though those brackets make
+    // the backlog nonzero: otherwise a §5.3 split waiting for a repair
+    // would rescan and re-bracket its U buckets without pause.
+    const bool drained = db_->wal()->LastLsn() < next_lsn_.load();
     auto cc = rules_->RunConsistencyCheck(config_.cc_batch);
     if (!cc.ok()) {
       return Status::Aborted("consistency check failed: " +
@@ -454,7 +458,7 @@ Status TransformCoordinator::PropagateUntilSync(
         return Status::Aborted("propagator cannot keep up with log generation");
       }
     }
-    if (backlog == 0) {
+    if (drained) {
       std::this_thread::sleep_for(std::chrono::microseconds(500));
     }
   }

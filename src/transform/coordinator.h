@@ -85,11 +85,6 @@ struct TransformConfig {
   bool continuous = false;
   /// How long a post-switch transaction waits for a mirrored source lock.
   int64_t target_lock_wait_micros = 2'000'000;
-  /// Parallel initial-population workers (see transform/populate.h). 0 =
-  /// serial: the same pipeline code runs inline on the coordinator thread.
-  /// Scan work is partitioned by storage shard and operator build state by
-  /// key hash, so any worker count yields the same target tables.
-  size_t populate_workers = 0;
   /// Hash-range tablets to run the transformation as (see
   /// transform/tablet_manager.h): each tablet gets its own fuzzy scan,
   /// catch-up, and tablet-wide sync latch, so a concurrent writer only ever

@@ -156,12 +156,16 @@ class OperatorRules {
   void set_throttle(PriorityController* throttle) { throttle_ = throttle; }
 
   /// \brief Installs the population-pipeline shape (worker count, batch
-  /// size); called by the coordinator alongside set_throttle, from
-  /// TransformConfig::populate_workers. Default: serial, 256-record
-  /// batches.
+  /// size, shard range). Default: DefaultPopulateWorkers() workers,
+  /// 256-record batches, every shard. The coordinator keeps the worker
+  /// count and batch size and sets only each tablet's shard range, so a
+  /// caller that needs a given width sets it here before the run.
   void set_populate_config(const PopulateConfig& config) {
     populate_config_ = config;
   }
+
+  /// The pipeline shape InitialPopulate runs with.
+  const PopulateConfig& populate_config() const { return populate_config_; }
 
  protected:
   explicit OperatorRules(engine::Database* db) : db_(db) {}
@@ -176,9 +180,6 @@ class OperatorRules {
     targets_.push_back(table);
     return table;
   }
-
-  /// The pipeline shape InitialPopulate should run with.
-  const PopulateConfig& populate_config() const { return populate_config_; }
 
   /// The raw controller, for the population pipeline's per-worker
   /// throttles (may be nullptr).

@@ -1,5 +1,8 @@
 #include "transform/populate.h"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -42,48 +45,53 @@ void PopulateWorker::RecordStages() const {
                     op > 0 ? op : 0);
 }
 
+size_t DefaultPopulateWorkers() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  size_t cpus = 0;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    cpus = static_cast<size_t>(CPU_COUNT(&set));
+  } else {
+    cpus = std::thread::hardware_concurrency();
+  }
+  return std::max<size_t>(1, cpus / 2);
+}
+
 Status RunPopulatePhase(PriorityController* throttle,
                         const PopulateConfig& config,
                         const std::function<Status(PopulateWorker&)>& body) {
-  if (config.workers == 0) {
-    // Serial = the N = 0 case: same body, inline, one partition. Exceptions
-    // propagate naturally (we are already on the caller's thread).
-    PopulateWorker worker(0, 1, config, throttle);
-    const Status st = body(worker);
-    if (st.ok()) worker.PayThrottle();
-    worker.RecordStages();
-    return st;
-  }
-
-  // Parallel: one thread per worker. The first failure of either kind wins;
-  // exceptions are funneled through an exception_ptr and re-thrown here so
-  // a crash failpoint firing on a worker behaves exactly like one firing on
+  const size_t workers = std::max<size_t>(1, config.workers);
+  MORPH_GAUGE_SET("transform.populate.workers",
+                  static_cast<int64_t>(workers));
+  // The first failure of either kind wins. Exceptions are funneled through
+  // an exception_ptr and re-thrown only after every helper is joined, so a
+  // crash failpoint firing on any worker behaves exactly like one firing on
   // the coordinator thread (the crash matrix catches it via fut.get()).
   std::mutex err_mu;
   Status first_error;
   std::exception_ptr first_exception;
-  std::vector<std::thread> threads;
-  threads.reserve(config.workers);
-  for (size_t i = 0; i < config.workers; ++i) {
-    threads.emplace_back([&, i] {
-      PopulateWorker worker(i, config.workers, config, throttle);
-      Status st;
-      try {
-        st = body(worker);
-      } catch (...) {
-        std::unique_lock lock(err_mu);
-        if (!first_exception) first_exception = std::current_exception();
-        return;
-      }
-      if (st.ok()) worker.PayThrottle();
-      worker.RecordStages();
-      if (!st.ok()) {
-        std::unique_lock lock(err_mu);
-        if (first_error.ok()) first_error = st;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  auto run = [&](size_t i) {
+    PopulateWorker worker(i, workers, config, throttle);
+    Status st;
+    try {
+      st = body(worker);
+    } catch (...) {
+      std::unique_lock lock(err_mu);
+      if (!first_exception) first_exception = std::current_exception();
+      return;
+    }
+    if (st.ok()) worker.PayThrottle();
+    worker.RecordStages();
+    if (!st.ok()) {
+      std::unique_lock lock(err_mu);
+      if (first_error.ok()) first_error = st;
+    }
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(workers - 1);
+  for (size_t i = 1; i < workers; ++i) helpers.emplace_back(run, i);
+  run(0);
+  for (auto& t : helpers) t.join();
   if (first_exception) std::rethrow_exception(first_exception);
   return first_error;
 }

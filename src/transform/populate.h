@@ -12,6 +12,12 @@
 
 namespace morph::transform {
 
+/// \brief Half the CPUs this process may run on (its sched_getaffinity
+/// set, which is what `nproc` prints), and at least 1: the default
+/// population width. The other half is left to foreground transactions,
+/// whose latency is what an online transform is judged by.
+size_t DefaultPopulateWorkers();
+
 /// \brief Shape of the shared initial-population pipeline (paper §3.2).
 ///
 /// Every operator's InitialPopulate() is a sequence of *phases* run through
@@ -25,13 +31,13 @@ namespace morph::transform {
 /// the phase's time splits into the transform.populate.stage.{scan,
 /// operator,insert}_nanos counters (summed over workers).
 ///
-/// Design rule carried over from the propagation pipeline: the serial path
-/// is the N = 0 case of the same code — zero workers runs the identical
-/// phase body inline on the calling thread with a single partition, not a
+/// The serial path is the N = 1 case of the same code: the calling thread
+/// is always worker 0, and one worker is one inline partition, not a
 /// separate legacy implementation.
 struct PopulateConfig {
-  /// Scan/insert workers. 0 = serial (one inline partition on the caller).
-  size_t workers = 0;
+  /// Threads that run each phase, the calling thread included (values
+  /// below 1 count as 1). The default is DefaultPopulateWorkers().
+  size_t workers = DefaultPopulateWorkers();
   /// Records per BatchSink flush; also the throttle-payment granularity,
   /// matching the serial operators' historical 256-record slices.
   size_t batch_size = 256;
@@ -47,12 +53,12 @@ class PopulateWorker;
 
 /// \brief Runs one pipeline phase: `body(worker)` once per worker.
 ///
-/// With config.workers == 0 the body runs inline on the calling thread
-/// (worker 0 of 1). Otherwise one thread per worker is spawned and joined
-/// before returning; the first non-OK Status is returned, and the first
-/// exception (a crash failpoint firing on a worker thread, say) is
-/// re-thrown on the calling thread — exceptions never cross the
-/// std::thread boundary, mirroring the propagator's failure funneling.
+/// The calling thread runs worker 0 and config.workers − 1 helper threads
+/// run the rest; every helper is joined before returning. The first non-OK
+/// Status is returned, and the first exception (a crash failpoint firing on
+/// any worker, say) is re-thrown on the calling thread once the helpers are
+/// joined — exceptions never cross the std::thread boundary. Sets the
+/// transform.populate.workers gauge to the worker count.
 /// After the body returns OK, any wall-clock time it has not yet paid to
 /// the throttle is paid, so a phase is fully covered by the duty cycle
 /// even if it never flushed a sink.
@@ -71,7 +77,7 @@ Status RunPopulatePhase(PriorityController* throttle,
 class PopulateWorker {
  public:
   size_t index() const { return index_; }
-  /// Partition count: max(1, config.workers) — 1 on the serial path.
+  /// Partition count: the phase's worker count — 1 on the serial path.
   size_t partitions() const { return partitions_; }
   size_t batch_size() const { return batch_size_; }
 

@@ -21,7 +21,10 @@ namespace morph::transform {
 ///
 /// Propagation is one serial loop on the coordinator thread, so the batch
 /// time it reports is all of propagation's CPU: at priority `p` the
-/// propagator uses about `p` of one core (Figure 4(d)).
+/// propagator uses about `p` of one core (Figure 4(d)). The duty is paid per
+/// worker (WorkerThrottle), so initial population with N workers uses about
+/// N·p cores at priority `p`; N defaults to half the cores the process may
+/// run on (transform/populate.h).
 class PriorityController {
  public:
   explicit PriorityController(double priority = 1.0) { set_priority(priority); }

@@ -206,11 +206,9 @@ Scenario HSplitScenario() {
   return sc;
 }
 
-TransformConfig CellConfig(SyncStrategy strategy, size_t populate_workers = 0,
-                           size_t tablets = 1) {
+TransformConfig CellConfig(SyncStrategy strategy, size_t tablets = 1) {
   TransformConfig config;
   config.strategy = strategy;
-  config.populate_workers = populate_workers;
   config.tablets = tablets;
   config.drop_sources = false;  // recovery recreates sources; keep symmetric
   // Bounds the whole run, the drain, and — critically — how long a writer
@@ -219,6 +217,20 @@ TransformConfig CellConfig(SyncStrategy strategy, size_t populate_workers = 0,
   // long, so keep it small but comfortably above a clean run's duration.
   config.max_duration_micros = 3'000'000;
   return config;
+}
+
+/// The scenario's rules with `populate_workers` population threads. The
+/// rows that crash at a site's Nth hit pin one worker unless they test the
+/// parallel shape, so the hit order, and with it the enumeration, is the
+/// same in every run.
+std::shared_ptr<OperatorRules> MakeRules(const Scenario& sc,
+                                         engine::Database* db,
+                                         size_t populate_workers = 1) {
+  auto rules = sc.make_rules(db);
+  PopulateConfig populate;
+  populate.workers = populate_workers;
+  rules->set_populate_config(populate);
+  return rules;
 }
 
 /// Runs the transformation once, cleanly, with tracing on, and returns the
@@ -244,9 +256,8 @@ std::vector<std::string> EnumerateSites(const Scenario& sc,
   writers.Start();
   EXPECT_TRUE(writers.WaitForCommits(5));
 
-  auto rules = sc.make_rules(&db);
-  TransformCoordinator coord(&db, rules,
-                             CellConfig(strategy, populate_workers, tablets));
+  auto rules = MakeRules(sc, &db, populate_workers);
+  TransformCoordinator coord(&db, rules, CellConfig(strategy, tablets));
   auto straddler = db.Begin();
   EXPECT_TRUE(db.Update(straddler, sources[sc.writer_table].get(),
                         Row({kStraddlerKey}),
@@ -304,9 +315,8 @@ void RunCrashCell(const Scenario& sc, SyncStrategy strategy,
     writers.Start();
     ASSERT_TRUE(writers.WaitForCommits(5));
 
-    auto rules = sc.make_rules(&db);
-    TransformCoordinator coord(&db, rules,
-                               CellConfig(strategy, populate_workers, tablets));
+    auto rules = MakeRules(sc, &db, populate_workers);
+    TransformCoordinator coord(&db, rules, CellConfig(strategy, tablets));
     auto straddler = db.Begin();
     ASSERT_TRUE(db.Update(straddler, sources[sc.writer_table].get(),
                           Row({kStraddlerKey}),
@@ -402,9 +412,8 @@ void RunCrashCell(const Scenario& sc, SyncStrategy strategy,
   // again when the cell is a tablets row, so a half-staggered crash re-runs
   // the per-tablet pipeline from scratch — and produces the relational
   // oracle of the recovered sources.
-  auto rules2 = sc.make_rules(&db2);
-  TransformCoordinator coord2(
-      &db2, rules2, CellConfig(strategy, /*populate_workers=*/0, tablets));
+  auto rules2 = MakeRules(sc, &db2);
+  TransformCoordinator coord2(&db2, rules2, CellConfig(strategy, tablets));
   auto run2 = coord2.Run();
   ASSERT_TRUE(run2.ok()) << run2.status().ToString();
   ASSERT_TRUE(run2->completed) << run2->abort_reason;
@@ -417,7 +426,7 @@ void RunCrashCell(const Scenario& sc, SyncStrategy strategy,
 }
 
 void RunMatrixRow(const Scenario& sc, SyncStrategy strategy,
-                  size_t populate_workers = 0, size_t tablets = 1) {
+                  size_t populate_workers = 1, size_t tablets = 1) {
   const auto sites = EnumerateSites(sc, strategy, populate_workers, tablets);
   ASSERT_FALSE(sites.empty());
   // Sanity-pin the coverage: the phase boundaries every strategy crosses.
@@ -499,11 +508,11 @@ TEST(CrashMatrixTest, HSplitNonBlockingAbortParallelPopulate) {
 // a staggered re-run rebuilds everything from scratch.
 TEST(CrashMatrixTest, VSplitNonBlockingAbortStaggered) {
   RunMatrixRow(VSplitScenario(), SyncStrategy::kNonBlockingAbort,
-               /*populate_workers=*/0, /*tablets=*/4);
+               /*populate_workers=*/1, /*tablets=*/4);
 }
 TEST(CrashMatrixTest, HSplitNonBlockingAbortStaggered) {
   RunMatrixRow(HSplitScenario(), SyncStrategy::kNonBlockingAbort,
-               /*populate_workers=*/0, /*tablets=*/4);
+               /*populate_workers=*/1, /*tablets=*/4);
 }
 
 // The matrix crashes at a site's *first* hit, which for the tablet sites is
@@ -533,11 +542,9 @@ void RunStaggeredPartialCrashCell(const std::string& site, size_t fire_on_hit,
     ASSERT_TRUE(db.wal()->OpenDurable(wopts).ok());
     auto sources = sc.create_sources(&db);
     ASSERT_TRUE(db.BulkLoad(sources[0].get(), sc.initial_rows[0]).ok());
-    auto rules = sc.make_rules(&db);
+    auto rules = MakeRules(sc, &db);
     TransformCoordinator coord(
-        &db, rules,
-        CellConfig(SyncStrategy::kNonBlockingAbort, /*populate_workers=*/0,
-                   kTablets));
+        &db, rules, CellConfig(SyncStrategy::kNonBlockingAbort, kTablets));
     fps.Crash(site, fire_on_hit);
     bool crashed = false;
     try {
@@ -614,11 +621,9 @@ void RunStaggeredPartialCrashCell(const std::string& site, size_t fire_on_hit,
     EXPECT_EQ(db2.catalog()->GetByName(name), nullptr) << name;
   }
 
-  auto rules2 = sc.make_rules(&db2);
+  auto rules2 = MakeRules(sc, &db2);
   TransformCoordinator coord2(
-      &db2, rules2,
-      CellConfig(SyncStrategy::kNonBlockingAbort, /*populate_workers=*/0,
-                 kTablets));
+      &db2, rules2, CellConfig(SyncStrategy::kNonBlockingAbort, kTablets));
   auto run2 = coord2.Run();
   ASSERT_TRUE(run2.ok()) << run2.status().ToString();
   ASSERT_TRUE(run2->completed) << run2->abort_reason;
@@ -683,7 +688,7 @@ void RunDurableCrashCell(const Scenario& sc, const std::string& site) {
     }
     ASSERT_TRUE(db.wal()->Sync(db.wal()->LastLsn()).ok());
 
-    auto rules = sc.make_rules(&db);
+    auto rules = MakeRules(sc, &db);
     TransformCoordinator coord(&db, rules,
                                CellConfig(SyncStrategy::kBlockingCommit));
     auto fut = std::async(std::launch::async, [&] { return coord.Run(); });
@@ -812,7 +817,7 @@ void RunDurableCrashCell(const Scenario& sc, const std::string& site) {
   std::vector<std::vector<Row>> recovered_sources;
   recovered_sources.reserve(sources2.size());
   for (const auto& s : sources2) recovered_sources.push_back(SortedRows(*s));
-  auto rules2 = sc.make_rules(&db2);
+  auto rules2 = MakeRules(sc, &db2);
   TransformCoordinator coord2(&db2, rules2,
                               CellConfig(SyncStrategy::kBlockingCommit));
   auto run2 = coord2.Run();

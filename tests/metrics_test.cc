@@ -419,8 +419,12 @@ TEST(PopulateStageTest, SerialFojStagesSumToPopulateTime) {
   spec.target_table = "t";
   auto rules = transform::FojRules::Make(&db, spec);
   ASSERT_TRUE(rules.ok());
+  // One worker: the stages are summed over workers, so only the serial
+  // shape's sum is comparable with the populate wall time.
+  transform::PopulateConfig serial;
+  serial.workers = 1;
+  (*rules)->set_populate_config(serial);
   transform::TransformConfig config;
-  ASSERT_EQ(config.populate_workers, 0u);
   ASSERT_EQ(config.priority, 1.0);  // no throttle sleep inside populate
   transform::TransformCoordinator coord(
       &db, std::shared_ptr<transform::FojRules>(std::move(rules).ValueOrDie()),

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <future>
@@ -9,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
+#include "common/metrics.h"
 #include "common/relops.h"
 #include "engine/database.h"
 #include "tests/test_util.h"
@@ -16,6 +19,7 @@
 #include "transform/foj.h"
 #include "transform/hsplit.h"
 #include "transform/merge.h"
+#include "transform/populate.h"
 #include "transform/split.h"
 
 namespace morph::transform {
@@ -29,7 +33,7 @@ using morph::testing::WithCommittedUpdates;
 
 // ---------------------------------------------------------------------------
 // Quiescent differential: the parallel population pipeline must be
-// *byte-identical* to its serial (workers = 0) case — full record state, not
+// *byte-identical* to its serial (workers = 1) case — full record state, not
 // just rows. Every scenario below is deterministic, so any divergence across
 // worker counts is a pipeline bug (partitioning, batching, merge rule or
 // index maintenance), not a fuzzy anomaly.
@@ -81,6 +85,12 @@ Status InsertWithLsn(storage::Table* t, Row row, Lsn lsn) {
   return t->Insert(std::move(rec));
 }
 
+void SetPopulateWorkers(OperatorRules* rules, size_t workers) {
+  PopulateConfig config;
+  config.workers = workers;
+  rules->set_populate_config(config);
+}
+
 // One dump per target table.
 using TargetDumps = std::vector<std::vector<std::string>>;
 
@@ -114,9 +124,7 @@ TargetDumps RunFojPopulate(size_t workers) {
   auto rules = std::shared_ptr<FojRules>(
       std::move(FojRules::Make(&db, spec)).ValueOrDie());
   EXPECT_TRUE(rules->Prepare().ok());
-  PopulateConfig config;
-  config.workers = workers;
-  rules->set_populate_config(config);
+  SetPopulateWorkers(rules.get(), workers);
   EXPECT_TRUE(rules->InitialPopulate().ok());
   // The batched insert path must leave the target's four secondary indexes
   // exactly consistent in every worker configuration.
@@ -149,9 +157,7 @@ TargetDumps RunSplitPopulate(size_t workers) {
   spec.assume_consistent = false;
   auto rules = std::move(SplitRules::Make(&db, spec)).ValueOrDie();
   EXPECT_TRUE(rules->Prepare().ok());
-  PopulateConfig config;
-  config.workers = workers;
-  rules->set_populate_config(config);
+  SetPopulateWorkers(rules.get(), workers);
   EXPECT_TRUE(rules->InitialPopulate().ok());
   return {DumpRecords(*rules->r_table()), DumpRecords(*rules->s_table())};
 }
@@ -170,9 +176,7 @@ TargetDumps RunHsplitPopulate(size_t workers) {
   spec.predicate = {"zip", RoutePredicate::Comparator::kLt, Value(200)};
   auto rules = std::move(HorizontalSplitRules::Make(&db, spec)).ValueOrDie();
   EXPECT_TRUE(rules->Prepare().ok());
-  PopulateConfig config;
-  config.workers = workers;
-  rules->set_populate_config(config);
+  SetPopulateWorkers(rules.get(), workers);
   EXPECT_TRUE(rules->InitialPopulate().ok());
   return {DumpRecords(*rules->r_table()), DumpRecords(*rules->s_table())};
 }
@@ -202,15 +206,13 @@ TargetDumps RunMergePopulate(size_t workers) {
   spec.target_table = "t_out";
   auto rules = std::move(MergeRules::Make(&db, spec)).ValueOrDie();
   EXPECT_TRUE(rules->Prepare().ok());
-  PopulateConfig config;
-  config.workers = workers;
-  rules->set_populate_config(config);
+  SetPopulateWorkers(rules.get(), workers);
   EXPECT_TRUE(rules->InitialPopulate().ok());
   return {DumpRecords(*rules->target())};
 }
 
 void RunDifferential(const std::function<TargetDumps(size_t)>& run) {
-  const TargetDumps baseline = run(0);
+  const TargetDumps baseline = run(1);
   for (const auto& dump : baseline) EXPECT_FALSE(dump.empty());
   for (size_t workers : {2u, 4u, 8u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
@@ -263,7 +265,7 @@ void DriveTransform(TransformCoordinator* coord,
   ASSERT_TRUE(run->completed) << run->abort_reason;
 }
 
-TransformConfig ConvergenceConfig(size_t workers) {
+TransformConfig ConvergenceConfig() {
   TransformConfig config;
   config.strategy = SyncStrategy::kNonBlockingAbort;
   config.drop_sources = false;
@@ -271,7 +273,6 @@ TransformConfig ConvergenceConfig(size_t workers) {
   // Convergence, not lag policy, is under test (see transform_concurrency
   // _test for the rationale; parallel ctest runs starve the coordinator).
   config.lag_iterations = 100'000;
-  config.populate_workers = workers;
   return config;
 }
 
@@ -307,7 +308,8 @@ void RunFojConvergence(size_t workers) {
   spec.target_table = "t_out";
   auto rules = std::shared_ptr<FojRules>(
       std::move(FojRules::Make(&db, spec)).ValueOrDie());
-  TransformCoordinator coord(&db, rules, ConvergenceConfig(workers));
+  SetPopulateWorkers(rules.get(), workers);
+  TransformCoordinator coord(&db, rules, ConvergenceConfig());
   DriveTransform(&coord, {&r_writers, &s_writers});
 
   std::vector<Row> final_r, final_s;
@@ -338,7 +340,8 @@ void RunSplitConvergence(size_t workers) {
   spec.split_columns = {"zip"};
   auto rules = std::shared_ptr<SplitRules>(
       std::move(SplitRules::Make(&db, spec)).ValueOrDie());
-  TransformCoordinator coord(&db, rules, ConvergenceConfig(workers));
+  SetPopulateWorkers(rules.get(), workers);
+  TransformCoordinator coord(&db, rules, ConvergenceConfig());
   DriveTransform(&coord, {&writers});
 
   std::vector<Row> final_t;
@@ -377,7 +380,8 @@ void RunHsplitConvergence(size_t workers) {
   spec.predicate = {"zip", RoutePredicate::Comparator::kLt, Value(200)};
   auto rules = std::shared_ptr<HorizontalSplitRules>(
       std::move(HorizontalSplitRules::Make(&db, spec)).ValueOrDie());
-  TransformCoordinator coord(&db, rules, ConvergenceConfig(workers));
+  SetPopulateWorkers(rules.get(), workers);
+  TransformCoordinator coord(&db, rules, ConvergenceConfig());
   DriveTransform(&coord, {&writers});
 
   std::vector<Row> expect_r, expect_s;
@@ -414,7 +418,8 @@ void RunMergeConvergence(size_t workers) {
   spec.target_table = "t_out";
   auto rules = std::shared_ptr<MergeRules>(
       std::move(MergeRules::Make(&db, spec)).ValueOrDie());
-  TransformCoordinator coord(&db, rules, ConvergenceConfig(workers));
+  SetPopulateWorkers(rules.get(), workers);
+  TransformCoordinator coord(&db, rules, ConvergenceConfig());
   DriveTransform(&coord, {&r_writers, &s_writers});
 
   std::vector<Row> expect;
@@ -424,16 +429,96 @@ void RunMergeConvergence(size_t workers) {
 }
 
 TEST(PopulateConvergenceTest, FojUnderConcurrentWriters) {
-  for (size_t workers : {0u, 2u, 4u}) RunFojConvergence(workers);
+  for (size_t workers : {1u, 2u, 4u}) RunFojConvergence(workers);
 }
 TEST(PopulateConvergenceTest, SplitUnderConcurrentWriters) {
-  for (size_t workers : {0u, 2u, 4u}) RunSplitConvergence(workers);
+  for (size_t workers : {1u, 2u, 4u}) RunSplitConvergence(workers);
 }
 TEST(PopulateConvergenceTest, HsplitUnderConcurrentWriters) {
-  for (size_t workers : {0u, 2u, 4u}) RunHsplitConvergence(workers);
+  for (size_t workers : {1u, 2u, 4u}) RunHsplitConvergence(workers);
 }
 TEST(PopulateConvergenceTest, MergeUnderConcurrentWriters) {
-  for (size_t workers : {0u, 2u, 4u}) RunMergeConvergence(workers);
+  for (size_t workers : {1u, 2u, 4u}) RunMergeConvergence(workers);
+}
+
+// ---------------------------------------------------------------------------
+// The phase runner itself: the calling thread is worker 0 and helpers run
+// the rest, and an exception on worker 0 reaches the caller only once every
+// helper has been joined (a joinable std::thread destroyed during unwinding
+// would call std::terminate instead).
+// ---------------------------------------------------------------------------
+
+TEST(PopulatePhaseTest, CallerRunsWorkerZeroAndHelpersRunTheRest) {
+  for (size_t workers : {1u, 3u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    PopulateConfig config;
+    config.workers = workers;
+    std::mutex mu;
+    std::vector<std::thread::id> ids(workers);
+    const Status st =
+        RunPopulatePhase(nullptr, config, [&](PopulateWorker& worker) {
+          EXPECT_EQ(worker.partitions(), workers);
+          std::unique_lock lock(mu);
+          ids.at(worker.index()) = std::this_thread::get_id();
+          return Status::OK();
+        });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(ids[0], std::this_thread::get_id());
+    for (size_t i = 1; i < workers; ++i) {
+      EXPECT_NE(ids[i], std::thread::id()) << "worker " << i << " never ran";
+      EXPECT_NE(ids[i], std::this_thread::get_id()) << "worker " << i;
+    }
+    EXPECT_EQ(metrics::Registry::Instance().GaugeValue(
+                  "transform.populate.workers"),
+              static_cast<int64_t>(workers));
+  }
+}
+
+TEST(PopulatePhaseTest, DefaultWidthIsHalfTheUsableCores) {
+  const size_t cpus = std::max<unsigned>(1, std::thread::hardware_concurrency());
+  EXPECT_GE(PopulateConfig{}.workers, 1u);
+  EXPECT_LE(PopulateConfig{}.workers, std::max<size_t>(1, cpus / 2));
+  EXPECT_EQ(PopulateConfig{}.workers, DefaultPopulateWorkers());
+}
+
+TEST(PopulatePhaseTest, CrashOnWorkerZeroRethrowsAfterTheHelperJoins) {
+  engine::Database db;
+  auto t = *db.CreateTable("t", morph::testing::RSchema());
+  auto& fps = Failpoints::Instance();
+  fps.DisableAll();
+  fps.ResetCounters();
+  fps.Crash("transform.populate.batch");
+
+  PopulateConfig config;
+  config.workers = 2;
+  std::atomic<bool> helper_started{false};
+  std::atomic<bool> helper_finished{false};
+  bool crashed = false;
+  try {
+    (void)RunPopulatePhase(nullptr, config, [&](PopulateWorker& worker) {
+      if (worker.index() != 0) {
+        // The helper is still running when worker 0 crashes.
+        helper_started.store(true);
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        helper_finished.store(true);
+        return Status::OK();
+      }
+      while (!helper_started.load()) std::this_thread::yield();
+      BatchSink sink(t.get(), BatchSink::Mode::kInsert, &worker);
+      storage::Record rec;
+      rec.row = Row({int64_t{1}, int64_t{1}, "p"});
+      MORPH_RETURN_NOT_OK(sink.Add(std::move(rec)));
+      return sink.Flush();  // the armed crash fires here, on the caller
+    });
+  } catch (const CrashException& e) {
+    crashed = true;
+    EXPECT_EQ(e.point(), "transform.populate.batch");
+    EXPECT_TRUE(helper_finished.load())
+        << "the crash was re-thrown before the helper was joined";
+  }
+  fps.DisableAll();
+  EXPECT_TRUE(crashed) << "the armed crash did not reach the caller";
+  EXPECT_EQ(t->size(), 0u);
 }
 
 }  // namespace

@@ -832,5 +832,51 @@ TEST(SplitConsistencyIntegrationTest, RepairUnblocksSynchronization) {
   EXPECT_EQ(s_rec->counter, 2);
 }
 
+// While a §5.3 split waits for a repair on an otherwise idle database, each
+// propagation iteration re-checks the U bucket and brackets it with a
+// CC_BEGIN. Those brackets must not count as work: an iteration whose only
+// new records are the check's own is idle and sleeps, instead of spinning a
+// core and growing the retained log by tens of thousands of records a
+// second. A slower host only appends fewer records, so the bound holds on
+// any machine.
+TEST(SplitConsistencyIntegrationTest, UnrepairedBucketLeavesTheLogIdle) {
+  engine::Database db;
+  auto t_src = *db.CreateTable("t", morph::testing::TSplitSchema());
+  ASSERT_TRUE(db.BulkLoad(t_src.get(),
+                          {Row({1, 7050, "Trondheim", "p1"}),
+                           Row({2, 7050, "Trnodheim", "p2"}),  // inconsistent
+                           Row({3, 5020, "Bergen", "p3"})})
+                  .ok());
+
+  SplitSpec spec;
+  spec.t_table = "t";
+  spec.r_columns = {"id", "zip", "body"};
+  spec.s_columns = {"zip", "city"};
+  spec.split_columns = {"zip"};
+  spec.assume_consistent = false;
+  auto rules = SplitRules::Make(&db, spec);
+  ASSERT_TRUE(rules.ok());
+  auto shared_rules = std::shared_ptr<SplitRules>(std::move(rules).ValueOrDie());
+
+  TransformConfig config;
+  config.drop_sources = false;
+  TransformCoordinator coord(&db, shared_rules, config);
+  auto stats_f = std::async(std::launch::async, [&] { return coord.Run(); });
+  WaitForPhase(coord, TransformCoordinator::Phase::kPropagating);
+  ASSERT_EQ(coord.phase(), TransformCoordinator::Phase::kPropagating);
+
+  const Lsn before = db.wal()->LastLsn();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const Lsn after = db.wal()->LastLsn();
+  EXPECT_EQ(shared_rules->CountInconsistent(), 1u);
+  EXPECT_LT(after - before, 1'000u)
+      << "log records appended in 100 ms with nothing to propagate";
+
+  coord.RequestAbort();
+  auto stats = stats_f.get();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_FALSE(stats->completed);
+}
+
 }  // namespace
 }  // namespace morph::transform
